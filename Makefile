@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fmt-check fuzz-smoke bench-smoke bench-compress bench-serve bench-trace bench-placement bench-shard bench-generate bench-store bench-obs bench-smoke-all bench bench-check doc-check metric-check verify
+.PHONY: all build test vet race fmt-check fuzz-smoke bench-smoke bench-compress bench-serve bench-trace bench-placement bench-shard bench-generate bench-store bench-obs bench-smoke-all bench bench-check doc-check metric-check fleetbench-check verify
 
 all: build
 
@@ -107,7 +107,7 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/engine/ ./internal/attack/
 
 # Benchmark regression gate: run the Figure smoke benchmarks against
-# BENCH_1.json (uncompressed engine reference), the Compressed
+# BENCH_1.json (engine vs sequential reference), the Compressed
 # benchmarks against BENCH_3.json (deduplicated sweeps), the Serve
 # benchmarks against BENCH_4.json (analysis server), the tracing
 # benchmarks against BENCH_5.json (observability cost), the
@@ -162,6 +162,13 @@ doc-check:
 metric-check:
 	$(GO) run ./tools/metriccheck ./...
 
+# The fleet benchmark harness is a nested module (fleetbench/go.mod),
+# so the root `go build ./...` never compiles it: vet and test it on its
+# own so a change to the exported API it drives cannot break it unseen.
+fleetbench-check:
+	cd fleetbench && $(GO) vet ./... && $(GO) test ./...
+
 # The documented verification gate: vet, build, race-enabled tests,
-# documentation and metric-naming lints, and the benchmark smoke runs.
-verify: vet build race doc-check metric-check bench-smoke-all
+# documentation and metric-naming lints, the fleet-harness check, and
+# the benchmark smoke runs.
+verify: vet build race doc-check metric-check fleetbench-check bench-smoke-all

@@ -1,11 +1,11 @@
 package compoundthreat
 
-// Compressed-path benchmarks: the deduplicated weighted sweeps that
-// are the default evaluation mode. Each has an uncompressed
-// counterpart above (BenchmarkFigure9Workers, BenchmarkFigureAllEngine,
-// BenchmarkPlacementSearch) pinned to NoCompress; the gap between the
-// pairs is the dedup win. BENCH_3.json records the measured numbers
-// and `make bench-check` gates these against it.
+// Compressed-path benchmarks: the deduplicated weighted sweeps, which
+// are the only evaluation path. BenchmarkFigure9Workers,
+// BenchmarkFigureAllEngine and BenchmarkPlacementSearch in
+// bench_test.go run the same path under the names BENCH_1.json and
+// earlier records use. BENCH_3.json records the measured numbers for
+// the sweeps below and `make bench-check` gates these against it.
 
 import (
 	"testing"
@@ -14,10 +14,9 @@ import (
 )
 
 // BenchmarkCompressedFigure9 evaluates Figure 9 (the full compound
-// threat) on the default compressed path at workers=1: compile the
-// failure matrix, deduplicate its rows once, and sweep the five
-// configurations over distinct flood patterns only. Compare against
-// BenchmarkFigure9Workers/workers=1 for the dedup speedup.
+// threat) at workers=1: compile the failure matrix, deduplicate its
+// rows once, and sweep the five configurations over distinct flood
+// patterns only.
 func BenchmarkCompressedFigure9(b *testing.B) {
 	cs := benchCaseStudy(b)
 	fig, err := analysis.FigureByID(9)
@@ -39,10 +38,8 @@ func BenchmarkCompressedFigure9(b *testing.B) {
 }
 
 // BenchmarkCompressedAllFigures evaluates all six paper figures through
-// the default EvaluateAllFigures path: one matrix over the union of
-// every figure's site assets, compressed once, then 30 weighted cells.
-// Compare against BenchmarkFigureAllEngine (uncompressed, per-site-set
-// matrices) for the combined universe-matrix + dedup speedup.
+// EvaluateAllFigures: one matrix over the union of every figure's site
+// assets, compressed once, then 30 weighted cells.
 func BenchmarkCompressedAllFigures(b *testing.B) {
 	cs := benchCaseStudy(b)
 	b.ReportAllocs()
@@ -54,11 +51,9 @@ func BenchmarkCompressedAllFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressedSearchPairs runs the §VII pair search on the
-// default compressed path: the candidate-universe matrix is
+// BenchmarkCompressedSearchPairs runs the §VII pair search: the candidate-universe matrix is
 // deduplicated once and every one of the O(C²) pairs evaluates only
-// distinct patterns with pooled evaluator scratch. Compare against
-// BenchmarkPlacementSearch.
+// distinct patterns with pooled evaluator scratch.
 func BenchmarkCompressedSearchPairs(b *testing.B) {
 	cs := benchCaseStudy(b)
 	req := PlacementRequest{

@@ -19,6 +19,7 @@ import (
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
 	"compoundthreat/internal/scada"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
@@ -123,13 +124,14 @@ func benchFigureConfigs(b *testing.B, id int) (*analysis.CaseStudy, []topology.C
 
 // BenchmarkFigure9Sequential is the pre-engine baseline: Figure 9 (the
 // full compound threat) evaluated with the plain per-realization
-// reference path, exactly as the seed revision computed every figure.
+// reference (oracle.RunConfigsSequential), exactly as the seed revision
+// computed every figure.
 func BenchmarkFigure9Sequential(b *testing.B) {
 	cs, configs, scenario := benchFigureConfigs(b, 9)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := analysis.RunConfigsSequential(cs.Ensemble(), configs, scenario); err != nil {
+		if _, err := oracle.RunConfigsSequential(cs.Ensemble(), configs, scenario); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,11 +139,9 @@ func BenchmarkFigure9Sequential(b *testing.B) {
 
 // BenchmarkFigure9Workers evaluates Figure 9 on the engine path at
 // several worker bounds. Compare against BenchmarkFigure9Sequential
-// for the speedup; the gain is dominated by the bit-packed matrix and
-// per-flood-pattern memoization, so it holds even at workers=1.
-// Dedup is pinned off: this is the uncompressed engine reference that
-// BENCH_1.json gates; BenchmarkCompressedFigure9 measures the default
-// compressed path against BENCH_3.json.
+// for the speedup; the gain is dominated by the bit-packed matrix, row
+// deduplication and per-flood-pattern memoization, so it holds even at
+// workers=1. BENCH_1.json gates it.
 func BenchmarkFigure9Workers(b *testing.B) {
 	cs, configs, scenario := benchFigureConfigs(b, 9)
 	for _, workers := range []int{1, 4, 8} {
@@ -149,7 +149,7 @@ func BenchmarkFigure9Workers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				opt := analysis.Options{Workers: workers, NoCompress: true}
+				opt := analysis.Options{Workers: workers}
 				if _, err := analysis.RunConfigsOpt(cs.Ensemble(), configs, scenario, opt); err != nil {
 					b.Fatal(err)
 				}
@@ -158,8 +158,8 @@ func BenchmarkFigure9Workers(b *testing.B) {
 	}
 }
 
-// BenchmarkFigureAllSequential evaluates all six paper figures on the
-// sequential reference path.
+// BenchmarkFigureAllSequential evaluates all six paper figures with
+// the sequential reference (oracle.RunConfigsSequential).
 func BenchmarkFigureAllSequential(b *testing.B) {
 	cs := benchCaseStudy(b)
 	b.ResetTimer()
@@ -169,7 +169,7 @@ func BenchmarkFigureAllSequential(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := analysis.RunConfigsSequential(cs.Ensemble(), configs, fig.Scenario); err != nil {
+			if _, err := oracle.RunConfigsSequential(cs.Ensemble(), configs, fig.Scenario); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -177,14 +177,10 @@ func BenchmarkFigureAllSequential(b *testing.B) {
 }
 
 // BenchmarkFigureAllEngine evaluates all six paper figures through
-// EvaluateAllFigures: flattened (figure, config) cells with shared
-// failure matrices. Dedup is pinned off — this is the uncompressed
-// engine reference that BENCH_1.json gates; see
-// BenchmarkCompressedAllFigures for the default compressed path.
+// EvaluateAllFigures: flattened (figure, config) cells over one
+// deduplicated failure matrix. BENCH_1.json gates it.
 func BenchmarkFigureAllEngine(b *testing.B) {
 	cs := benchCaseStudy(b)
-	cs.SetCompress(false)
-	b.Cleanup(func() { cs.SetCompress(true) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.EvaluateAllFigures(); err != nil {
@@ -199,12 +195,8 @@ func BenchmarkFigureAllEngine(b *testing.B) {
 // BENCH_2.json records the measured gap (<5%).
 func BenchmarkFigureAllEngineMetrics(b *testing.B) {
 	cs := benchCaseStudy(b)
-	cs.SetCompress(false)
 	obs.Enable(obs.New())
-	b.Cleanup(func() {
-		obs.Enable(nil)
-		cs.SetCompress(true)
-	})
+	b.Cleanup(func() { obs.Enable(nil) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cs.EvaluateAllFigures(); err != nil {
@@ -386,17 +378,14 @@ func BenchmarkSCADASimulation(b *testing.B) {
 }
 
 // BenchmarkPlacementSearch measures the §VII placement search over all
-// candidate pairs, with dedup pinned off as the uncompressed engine
-// reference; BenchmarkCompressedSearchPairs measures the default
-// compressed search.
+// candidate pairs.
 func BenchmarkPlacementSearch(b *testing.B) {
 	cs := benchCaseStudy(b)
 	req := PlacementRequest{
-		Ensemble:   cs.Ensemble(),
-		Inventory:  OahuAssets(),
-		Primary:    HonoluluCC,
-		Scenario:   HurricaneIntrusionIsolation,
-		NoCompress: true,
+		Ensemble:  cs.Ensemble(),
+		Inventory: OahuAssets(),
+		Primary:   HonoluluCC,
+		Scenario:  HurricaneIntrusionIsolation,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

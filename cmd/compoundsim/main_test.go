@@ -31,6 +31,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-fig", "3"},
 		{"-power", "nope"},
 		{"-realizations", "0"},
+		{"-compress=false"},
 	}
 	for _, args := range bad {
 		if err := run(args); err == nil {

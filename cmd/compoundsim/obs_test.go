@@ -11,6 +11,7 @@ import (
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
 	"compoundthreat/internal/surge"
 	"compoundthreat/internal/terrain"
 	"compoundthreat/internal/topology"
@@ -153,20 +154,20 @@ func TestMetricsReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := analysis.RunConfigsSequential(ensemble, configs, fig.Scenario)
+	want, err := oracle.RunConfigsSequential(ensemble, configs, fig.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, o := range want {
+	for i, p := range want {
 		got := results.Figures[i]
-		if got.Figure != 9 || got.Config != o.Config.Name || got.Total != o.Profile.Total() {
-			t.Errorf("tally[%d] = %+v, want config %s total %d", i, got, o.Config.Name, o.Profile.Total())
+		if got.Figure != 9 || got.Config != configs[i].Name || got.Total != p.Total() {
+			t.Errorf("tally[%d] = %+v, want config %s total %d", i, got, configs[i].Name, p.Total())
 			continue
 		}
 		for _, s := range opstate.States() {
-			if got.States[s.String()] != o.Profile.Count(s) {
+			if got.States[s.String()] != p.Count(s) {
 				t.Errorf("tally[%d] %s %s = %d, want %d (sequential reference)",
-					i, got.Config, s, got.States[s.String()], o.Profile.Count(s))
+					i, got.Config, s, got.States[s.String()], p.Count(s))
 			}
 		}
 	}

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	placement [-scenario both] [-realizations N] [-pairs] [-top K]
-//	          [-workers N] [-compress=false] [-metrics report.json]
-//	          [-pprof addr]
+//	          [-workers N] [-metrics report.json] [-pprof addr]
 //	placement -k K [-exact] [-objective green|weighted]
 //	          [-max-candidates N] [-synthetic N] [-seed S] ...
 //
@@ -52,7 +51,6 @@ func run(args []string) (err error) {
 	pairs := fs.Bool("pairs", false, "search (second, data center) pairs instead of second site only")
 	top := fs.Int("top", 10, "show the top K candidates")
 	workers := fs.Int("workers", 0, "search worker bound (0 = one per CPU)")
-	compress := fs.Bool("compress", true, "deduplicate identical failure-matrix rows before evaluation")
 	k := fs.Int("k", 0, "place K sites with the scalable search instead of the pair study (0 = pair study)")
 	exact := fs.Bool("exact", false, "with -k: branch-and-bound to the provable optimum after greedy")
 	objective := fs.String("objective", "green", "with -k: objective, green or weighted")
@@ -98,12 +96,11 @@ func run(args []string) (err error) {
 	}
 
 	req := placement.Request{
-		Ensemble:   ensemble,
-		Inventory:  inv,
-		Primary:    assets.HonoluluCC,
-		Scenario:   scenario,
-		Workers:    *workers,
-		NoCompress: !*compress,
+		Ensemble:  ensemble,
+		Inventory: inv,
+		Primary:   assets.HonoluluCC,
+		Scenario:  scenario,
+		Workers:   *workers,
 	}
 	start := time.Now()
 	var candidates []placement.Candidate

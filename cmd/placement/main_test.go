@@ -26,4 +26,7 @@ func TestRunModes(t *testing.T) {
 	if err := run([]string{"-realizations", "50", "-k", "2", "-synthetic", "24", "-max-candidates", "8"}); err == nil {
 		t.Error("max-candidates overflow should fail")
 	}
+	if err := run([]string{"-compress=false"}); err == nil {
+		t.Error("removed -compress flag should fail")
+	}
 }

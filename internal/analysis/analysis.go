@@ -7,11 +7,14 @@
 // scenario, evaluates the resulting operational state (Table I), and
 // aggregates outcome probabilities over the ensemble.
 //
-// Two execution paths produce bit-identical results. The default path
-// compiles the ensemble into a bit-packed failure matrix and evaluates
-// it with the allocation-free, parallel engine (internal/engine); the
-// *Sequential functions are the straightforward reference
-// implementations that the engine is cross-checked against in tests.
+// There is one execution path: the ensemble is compiled into a
+// bit-packed failure matrix, its rows are deduplicated to the distinct
+// flood patterns (the paper's §VI finding that flood outcomes are
+// highly correlated makes these few), and every (configuration,
+// scenario) cell is evaluated per pattern, weighted by multiplicity,
+// with the allocation-free parallel engine (internal/engine). Tests
+// cross-check it bit for bit against the plain per-realization
+// reference implementations in internal/oracle.
 package analysis
 
 import (
@@ -19,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 
-	"compoundthreat/internal/attack"
 	"compoundthreat/internal/engine"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/opstate"
@@ -52,12 +54,6 @@ type Options struct {
 	// runtime.NumCPU(); 1 runs single-threaded (still on the
 	// allocation-free engine path).
 	Workers int
-	// NoCompress disables failure-matrix row deduplication. By default
-	// the compiled matrix is compressed to its distinct rows once and
-	// every (configuration, scenario) cell is evaluated per distinct
-	// pattern with multiplicities — bit-identical to the full walk.
-	// Set NoCompress to walk every realization per cell instead.
-	NoCompress bool
 }
 
 // Outcome is the result of analyzing one configuration under one
@@ -94,9 +90,9 @@ func validateCell(e DisasterEnsemble, cfg topology.Config, scenario threat.Scena
 }
 
 // Run analyzes one configuration under one scenario across the whole
-// ensemble on the engine path, parallelizing realization chunks across
-// runtime.NumCPU() workers. Results are bit-identical to
-// RunSequential.
+// ensemble on the engine path, parallelizing distinct-pattern chunks
+// across runtime.NumCPU() workers. Results are bit-identical to
+// walking every realization with the worst-case attacker.
 func Run(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario) (Outcome, error) {
 	return RunOpt(e, cfg, scenario, Options{})
 }
@@ -113,10 +109,10 @@ func RunOpt(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario, o
 	return runCell(v, cfg, scenario, opt.Workers)
 }
 
-// compiledView bundles a compiled failure matrix with its optional
-// deduplicated row view; cells evaluate against the compressed view
-// when present, recycling evaluators (and their 2^S memo tables)
-// across the sweep's cells through the pool.
+// compiledView bundles a compiled failure matrix with its deduplicated
+// row view; cells evaluate against the compressed view, recycling
+// evaluators (and their 2^S memo tables) across the sweep's cells
+// through the pool.
 type compiledView struct {
 	m    *engine.FailureMatrix
 	cm   *engine.CompressedMatrix
@@ -124,19 +120,14 @@ type compiledView struct {
 }
 
 // compileView compiles the ensemble's failure flags for the given
-// assets and, unless disabled, compresses the rows to distinct
-// patterns once so every subsequent cell is O(distinct rows).
+// assets and compresses the rows to distinct patterns once, so every
+// subsequent cell is O(distinct rows).
 func compileView(e DisasterEnsemble, assetIDs []string, opt Options) (compiledView, error) {
 	m, err := engine.NewFailureMatrix(e, assetIDs)
 	if err != nil {
 		return compiledView{}, err
 	}
-	v := compiledView{m: m}
-	if !opt.NoCompress {
-		v.cm = engine.Compress(m, opt.Workers)
-		v.pool = &engine.EvaluatorPool{}
-	}
-	return v, nil
+	return compiledView{m: m, cm: engine.Compress(m, opt.Workers), pool: &engine.EvaluatorPool{}}, nil
 }
 
 // runCell evaluates one (config, scenario) cell against a compiled
@@ -147,11 +138,10 @@ func runCell(v compiledView, cfg topology.Config, scenario threat.Scenario, work
 		profile *stats.Profile
 		err     error
 	)
-	switch {
-	case v.cm != nil && engine.Workers(workers) <= 1:
-		// Single-worker compressed cell: one weighted pass over the
-		// distinct rows with a pooled evaluator, so sweeps spanning many
-		// cells reuse memo tables instead of re-allocating per cell.
+	if engine.Workers(workers) <= 1 {
+		// Single-worker cell: one weighted pass over the distinct rows
+		// with a pooled evaluator, so sweeps spanning many cells reuse
+		// memo tables instead of re-allocating per cell.
 		var ev *engine.Evaluator
 		ev, err = v.pool.Get(v.m, cfg, scenario.Capability())
 		if err == nil {
@@ -161,38 +151,11 @@ func runCell(v compiledView, cfg topology.Config, scenario threat.Scenario, work
 			}
 			v.pool.Put(ev)
 		}
-	case v.cm != nil:
+	} else {
 		profile, err = engine.CellProfileCompressed(v.cm, cfg, scenario.Capability(), workers)
-	default:
-		profile, err = engine.CellProfile(v.m, cfg, scenario.Capability(), workers)
 	}
 	if err != nil {
 		return Outcome{}, fmt.Errorf("analysis: %s: %w", cfg.Name, err)
-	}
-	return Outcome{Config: cfg, Scenario: scenario, Profile: profile}, nil
-}
-
-// RunSequential is the reference implementation of Run: a plain
-// realization loop with per-call allocations. The engine path is
-// cross-checked against it in tests; it is also the baseline the
-// BenchmarkFigure* speedups are measured from.
-func RunSequential(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario) (Outcome, error) {
-	if err := validateCell(e, cfg, scenario); err != nil {
-		return Outcome{}, err
-	}
-	assets := siteAssets(cfg)
-	cap := scenario.Capability()
-	profile := stats.NewProfile()
-	for r := 0; r < e.Size(); r++ {
-		flooded, err := e.FailureVector(r, assets)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("analysis: %s realization %d: %w", cfg.Name, r, err)
-		}
-		res, err := attack.WorstCase(cfg, flooded, cap)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("analysis: %s realization %d: %w", cfg.Name, r, err)
-		}
-		profile.Add(res.State)
 	}
 	return Outcome{Config: cfg, Scenario: scenario, Profile: profile}, nil
 }
@@ -218,7 +181,7 @@ func assetUniverse(configs []topology.Config) ([]string, error) {
 
 // compileUniverse compiles one failure matrix over the union of the
 // configurations' site assets (each configuration resolves its own
-// column subset at evaluation time), then optionally compresses it.
+// column subset at evaluation time), then compresses it.
 // One compile + one compression serve every (config, scenario) cell.
 // Compilation stays sequential (it touches the ensemble through its
 // interface); evaluation afterwards reads only the immutable view and
@@ -283,22 +246,6 @@ func RunConfigsCtx(ctx context.Context, e DisasterEnsemble, configs []topology.C
 	return out, nil
 }
 
-// RunConfigsSequential is the reference implementation of RunConfigs.
-func RunConfigsSequential(e DisasterEnsemble, configs []topology.Config, scenario threat.Scenario) ([]Outcome, error) {
-	if len(configs) == 0 {
-		return nil, errors.New("analysis: no configurations")
-	}
-	out := make([]Outcome, 0, len(configs))
-	for _, cfg := range configs {
-		o, err := RunSequential(e, cfg, scenario)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, o)
-	}
-	return out, nil
-}
-
 // RunMatrix analyzes every configuration under every scenario,
 // returning results keyed by scenario in the paper's presentation
 // order. All (config, scenario) cells are evaluated in parallel
@@ -346,19 +293,6 @@ func RunMatrixCtx(ctx context.Context, e DisasterEnsemble, configs []topology.Co
 	out := make(map[threat.Scenario][]Outcome, len(scenarios))
 	for si, sc := range scenarios {
 		out[sc] = cells[si*len(configs) : (si+1)*len(configs)]
-	}
-	return out, nil
-}
-
-// RunMatrixSequential is the reference implementation of RunMatrix.
-func RunMatrixSequential(e DisasterEnsemble, configs []topology.Config) (map[threat.Scenario][]Outcome, error) {
-	out := make(map[threat.Scenario][]Outcome, len(threat.Scenarios()))
-	for _, sc := range threat.Scenarios() {
-		res, err := RunConfigsSequential(e, configs, sc)
-		if err != nil {
-			return nil, err
-		}
-		out[sc] = res
 	}
 	return out, nil
 }

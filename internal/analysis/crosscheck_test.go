@@ -1,8 +1,9 @@
 package analysis
 
 // Cross-checks of the engine-backed parallel paths against the plain
-// sequential reference implementations: identical inputs must produce
-// bit-identical outcome profiles for every seed and worker count.
+// sequential reference implementations in internal/oracle: identical
+// inputs must produce bit-identical outcome profiles for every seed and
+// worker count.
 
 import (
 	"math/rand"
@@ -11,6 +12,8 @@ import (
 
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
+	"compoundthreat/internal/stats"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
@@ -42,15 +45,15 @@ func crosscheckWorkerCounts() []int {
 	return []int{1, 2, runtime.NumCPU()}
 }
 
-func sameProfile(t *testing.T, label string, got, want Outcome) {
+func sameProfile(t *testing.T, label string, got Outcome, want *stats.Profile) {
 	t.Helper()
-	if got.Profile.Total() != want.Profile.Total() {
-		t.Errorf("%s: total %d != %d", label, got.Profile.Total(), want.Profile.Total())
+	if got.Profile.Total() != want.Total() {
+		t.Errorf("%s: total %d != %d", label, got.Profile.Total(), want.Total())
 		return
 	}
 	for _, s := range opstate.States() {
-		if got.Profile.Count(s) != want.Profile.Count(s) {
-			t.Errorf("%s: count(%v) = %d, want %d", label, s, got.Profile.Count(s), want.Profile.Count(s))
+		if got.Profile.Count(s) != want.Count(s) {
+			t.Errorf("%s: count(%v) = %d, want %d", label, s, got.Profile.Count(s), want.Count(s))
 		}
 	}
 }
@@ -68,7 +71,7 @@ func TestRunMatchesSequential(t *testing.T) {
 		e := randomEnsemble(t, seed, 250, assets)
 		for _, cfg := range configs {
 			for _, sc := range threat.Scenarios() {
-				want, err := RunSequential(e, cfg, sc)
+				want, err := oracle.RunSequential(e, cfg, sc)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +95,7 @@ func TestRunMatrixMatchesSequential(t *testing.T) {
 	}
 	for _, seed := range []int64{7, 8} {
 		e := randomEnsemble(t, seed, 200, assets)
-		want, err := RunMatrixSequential(e, configs)
+		want, err := oracle.RunMatrixSequential(e, configs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +109,7 @@ func TestRunMatrixMatchesSequential(t *testing.T) {
 			}
 			for sc := range want {
 				for i := range want[sc] {
-					sameProfile(t, sc.String()+"/"+want[sc][i].Config.Name, got[sc][i], want[sc][i])
+					sameProfile(t, sc.String()+"/"+configs[i].Name, got[sc][i], want[sc][i])
 				}
 			}
 		}
@@ -121,7 +124,7 @@ func TestRunConfigsMatchesSequential(t *testing.T) {
 		topology.NewConfig666("p", "s", "d"),
 	}
 	e := randomEnsemble(t, 11, 300, assets)
-	want, err := RunConfigsSequential(e, configs, threat.HurricaneIntrusionIsolation)
+	want, err := oracle.RunConfigsSequential(e, configs, threat.HurricaneIntrusionIsolation)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,35 +134,7 @@ func TestRunConfigsMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range want {
-			sameProfile(t, want[i].Config.Name, got[i], want[i])
-		}
-	}
-}
-
-// TestRunNoCompressMatchesCompressed: row dedup is a pure optimization
-// — disabling it must not change a single count, for every
-// configuration family and scenario.
-func TestRunNoCompressMatchesCompressed(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	configs := []topology.Config{
-		topology.NewConfig2("p"),
-		topology.NewConfig22("p", "s"),
-		topology.NewConfig6("p"),
-		topology.NewConfig66("p", "s"),
-		topology.NewConfig666("p", "s", "d"),
-	}
-	e := randomEnsemble(t, 17, 300, assets)
-	for _, cfg := range configs {
-		for _, sc := range threat.Scenarios() {
-			want, err := RunOpt(e, cfg, sc, Options{NoCompress: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := RunOpt(e, cfg, sc, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameProfile(t, cfg.Name+"/"+sc.String(), got, want)
+			sameProfile(t, configs[i].Name, got[i], want[i])
 		}
 	}
 }
@@ -176,34 +151,32 @@ func TestPowerSweepMatchesSequential(t *testing.T) {
 			TrialsPerRealization: 3,
 			Seed:                 seed,
 		}
-		want, err := RunPowerSweepSequential(base)
+		want, err := oracle.RunPowerSweepSequential(e, base.Config, base.Capability,
+			base.Successes, base.TrialsPerRealization, base.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The grid includes both deterministic endpoints (0 and 1), so
-		// this also pins the compressed endpoint path (the default,
-		// noCompress=false) to the sequential reference.
-		for _, noCompress := range []bool{false, true} {
-			for _, workers := range crosscheckWorkerCounts() {
-				req := base
-				req.Workers = workers
-				req.NoCompress = noCompress
-				got, err := RunPowerSweep(req)
-				if err != nil {
-					t.Fatal(err)
+		// this pins the compressed endpoint path as well as the
+		// per-realization interior points to the sequential reference.
+		for _, workers := range crosscheckWorkerCounts() {
+			req := base
+			req.Workers = workers
+			got, err := RunPowerSweep(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Success != base.Successes[i] {
+					t.Errorf("workers=%d point %d: success %v != %v", workers, i, got[i].Success, base.Successes[i])
 				}
-				if len(got) != len(want) {
-					t.Fatalf("workers=%d: %d points, want %d", workers, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Success != want[i].Success {
-						t.Errorf("workers=%d point %d: success %v != %v", workers, i, got[i].Success, want[i].Success)
-					}
-					for _, s := range opstate.States() {
-						if got[i].Profile.Count(s) != want[i].Profile.Count(s) {
-							t.Errorf("noCompress=%v workers=%d point %d: count(%v) = %d, want %d",
-								noCompress, workers, i, s, got[i].Profile.Count(s), want[i].Profile.Count(s))
-						}
+				for _, s := range opstate.States() {
+					if got[i].Profile.Count(s) != want[i].Count(s) {
+						t.Errorf("workers=%d point %d: count(%v) = %d, want %d",
+							workers, i, s, got[i].Profile.Count(s), want[i].Count(s))
 					}
 				}
 			}
@@ -238,18 +211,19 @@ func TestEvaluateAllFiguresMatchesPerFigure(t *testing.T) {
 			t.Fatalf("figure %d: %d outcomes, want %d", f.ID, len(all[fi].Outcomes), len(single.Outcomes))
 		}
 		for i := range single.Outcomes {
-			sameProfile(t, single.Outcomes[i].Config.Name, all[fi].Outcomes[i], single.Outcomes[i])
+			sameProfile(t, single.Outcomes[i].Config.Name, all[fi].Outcomes[i], single.Outcomes[i].Profile)
 		}
-	}
-	// Dedup off must reproduce the default bit-for-bit.
-	cs.SetCompress(false)
-	plain, err := cs.EvaluateAllFigures()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi := range all {
-		for i := range all[fi].Outcomes {
-			sameProfile(t, "nocompress/"+all[fi].Outcomes[i].Config.Name, plain[fi].Outcomes[i], all[fi].Outcomes[i])
+		// And both must match the per-realization reference.
+		configs, err := topology.StandardConfigs(f.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oracle.RunConfigsSequential(cs.Ensemble(), configs, f.Scenario)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			sameProfile(t, "oracle/"+configs[i].Name, all[fi].Outcomes[i], want[i])
 		}
 	}
 }

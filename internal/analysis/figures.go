@@ -78,9 +78,8 @@ type FigureResult struct {
 // CaseStudy bundles the Oahu ensemble with the machinery to evaluate
 // paper figures against it. Generate it once and evaluate many figures.
 type CaseStudy struct {
-	ensemble   *hazard.Ensemble
-	workers    int
-	noCompress bool
+	ensemble *hazard.Ensemble
+	workers  int
 }
 
 // NewCaseStudy wraps an existing ensemble.
@@ -94,14 +93,9 @@ func NewCaseStudy(e *hazard.Ensemble) (*CaseStudy, error) {
 // SetWorkers bounds evaluation parallelism (0 = runtime.NumCPU()).
 func (cs *CaseStudy) SetWorkers(n int) { cs.workers = n }
 
-// SetCompress toggles failure-matrix row deduplication (on by
-// default). Results are bit-identical either way; disabling it walks
-// every realization per cell.
-func (cs *CaseStudy) SetCompress(on bool) { cs.noCompress = !on }
-
 // options renders the case study's tuning knobs as engine Options.
 func (cs *CaseStudy) options() Options {
-	return Options{Workers: cs.workers, NoCompress: cs.noCompress}
+	return Options{Workers: cs.workers}
 }
 
 // NewOahuCaseStudy builds the full Oahu case study: terrain, assets,

@@ -44,13 +44,6 @@ type PowerSweepRequest struct {
 	Seed int64
 	// Workers bounds parallelism across sweep points (0 = NumCPU).
 	Workers int
-	// NoCompress disables row deduplication for the deterministic
-	// sweep endpoints (success 0 and 1), where the attacker's outcome
-	// is a pure function of the flood pattern and the compressed
-	// weighted path is bit-identical to the per-realization walk.
-	// Interior points always walk realizations: their outcomes depend
-	// on the per-(point, realization) attack randomness.
-	NoCompress bool
 }
 
 func (r PowerSweepRequest) validate() error {
@@ -90,9 +83,11 @@ func pointSeed(base int64, point, realization int) int64 {
 
 // RunPowerSweep evaluates the configuration across the success grid,
 // running sweep points in parallel against a failure matrix compiled
-// once. Results are bit-identical to RunPowerSweepSequential: the
-// attack randomness is seeded per (point, realization), independent of
-// scheduling.
+// and deduplicated once. The deterministic endpoints (success 0 and 1)
+// evaluate each distinct flood pattern once, weighted by multiplicity;
+// interior points walk every realization, because their outcomes
+// depend on the attack randomness, which is seeded per (point,
+// realization) so results are independent of scheduling.
 func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
@@ -111,10 +106,7 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	var cm *engine.CompressedMatrix
-	if !req.NoCompress {
-		cm = engine.Compress(m, req.Workers)
-	}
+	cm := engine.Compress(m, req.Workers)
 	out := make([]PowerPoint, len(req.Successes))
 	err = engine.ForEach(req.Workers, len(req.Successes), func(pi int) error {
 		success := req.Successes[pi]
@@ -124,7 +116,7 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 			IsolationSuccess: success,
 		}
 		profile := stats.NewProfile()
-		if cm != nil && deterministicPower(power) {
+		if deterministicPower(power) {
 			// At the grid endpoints every planned attempt succeeds (or
 			// fails) regardless of the randomness draws, so the outcome
 			// is a pure function of the flood pattern: evaluate each
@@ -157,41 +149,6 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// RunPowerSweepSequential is the reference implementation of
-// RunPowerSweep: a plain nested loop over points and realizations.
-func RunPowerSweepSequential(req PowerSweepRequest) ([]PowerPoint, error) {
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	trials := req.TrialsPerRealization
-	if trials == 0 {
-		trials = 1
-	}
-	assets := siteAssets(req.Config)
-	out := make([]PowerPoint, 0, len(req.Successes))
-	for pi, success := range req.Successes {
-		power := attack.Power{
-			Capability:       req.Capability,
-			IntrusionSuccess: success,
-			IsolationSuccess: success,
-		}
-		profile := stats.NewProfile()
-		for r := 0; r < req.Ensemble.Size(); r++ {
-			flooded, err := req.Ensemble.FailureVector(r, assets)
-			if err != nil {
-				return nil, err
-			}
-			p, err := attack.ProfileUnderPower(req.Config, flooded, power, trials, pointSeed(req.Seed, pi, r))
-			if err != nil {
-				return nil, err
-			}
-			profile.Merge(p)
-		}
-		out = append(out, PowerPoint{Success: success, Profile: profile})
 	}
 	return out, nil
 }

@@ -1,14 +1,13 @@
 package engine_test
 
-// Allocation benchmarks for the engine hot path: the per-realization
-// loop of AddRange must not allocate (run with -benchmem to verify
+// Allocation benchmarks for the engine hot path: the weighted row loop
+// of AddWeighted must not allocate (run with -benchmem to verify
 // 0 allocs/op).
 
 import (
 	"testing"
 
 	"compoundthreat/internal/engine"
-	"compoundthreat/internal/obs"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
@@ -21,68 +20,6 @@ func benchFixture(b *testing.B) (*engine.FailureMatrix, topology.Config, threat.
 		b.Fatal(err)
 	}
 	return m, topology.NewConfig666("p", "s", "d"), threat.HurricaneIntrusionIsolation.Capability()
-}
-
-// BenchmarkAddRange measures the memoized inner loop over 1000
-// realizations. The memo is warmed before the timer so the steady-state
-// figure is pure bit-extraction plus a table lookup: 0 allocs/op.
-func BenchmarkAddRange(b *testing.B) {
-	m, cfg, cap := benchFixture(b)
-	ev, err := engine.NewEvaluator(m, cfg, cap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var warm engine.Counts
-	if err := ev.AddRange(&warm, 0, m.Rows()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var counts engine.Counts
-		if err := ev.AddRange(&counts, 0, m.Rows()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAddRangeMetrics is BenchmarkAddRange with a live obs
-// recorder: the memo statistics are flushed with three atomic adds per
-// range, so the loop must still report 0 allocs/op and stay within
-// noise of the uninstrumented figure.
-func BenchmarkAddRangeMetrics(b *testing.B) {
-	m, cfg, cap := benchFixture(b)
-	obs.Enable(obs.New())
-	defer obs.Enable(nil)
-	ev, err := engine.NewEvaluator(m, cfg, cap)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var warm engine.Counts
-	if err := ev.AddRange(&warm, 0, m.Rows()); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var counts engine.Counts
-		if err := ev.AddRange(&counts, 0, m.Rows()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCellCounts measures a full cold cell evaluation, including
-// evaluator construction and memo fill.
-func BenchmarkCellCounts(b *testing.B) {
-	m, cfg, cap := benchFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.CellCounts(m, cfg, cap, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkCompress measures deduplicating the 1000-realization
@@ -98,10 +35,9 @@ func BenchmarkCompress(b *testing.B) {
 }
 
 // BenchmarkAddWeighted measures the weighted inner loop over the
-// distinct rows of the compressed 1000-realization matrix. Like
-// AddRange, the warmed steady state is bit-extraction plus a table
-// lookup — 0 allocs/op — but over ~8 distinct patterns instead of
-// 1000 realizations.
+// distinct rows of the compressed 1000-realization matrix. The warmed
+// steady state is bit-extraction plus a table lookup — 0 allocs/op —
+// over ~8 distinct patterns instead of 1000 realizations.
 func BenchmarkAddWeighted(b *testing.B) {
 	m, cfg, cap := benchFixture(b)
 	cm := engine.Compress(m, 1)
@@ -124,9 +60,7 @@ func BenchmarkAddWeighted(b *testing.B) {
 }
 
 // BenchmarkCellCountsCompressed measures a full cold compressed cell:
-// evaluator construction, memo fill, and the weighted walk. Compare
-// against BenchmarkCellCounts for the per-cell dedup win once the
-// compression cost is amortized across a sweep.
+// evaluator construction, memo fill, and the weighted walk.
 func BenchmarkCellCountsCompressed(b *testing.B) {
 	m, cfg, cap := benchFixture(b)
 	cm := engine.Compress(m, 1)
@@ -149,6 +83,34 @@ func BenchmarkMatrixCompile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := engine.NewFailureMatrix(e, assets); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompressAllDistinct is the adversarial end of row
+// deduplication: 1000 pairwise-distinct rows over 12 assets, where
+// compression finds nothing to merge and spills past the linear-scan
+// fast path. Each iteration compiles the matrix, compresses it and
+// sweeps the five standard configurations (Figure 9's compound threat)
+// over it — the whole cost a sweep pays when flood outcomes are not
+// correlated.
+func BenchmarkCompressAllDistinct(b *testing.B) {
+	e := allDistinctEnsemble(b, 1000, 12)
+	ids := e.AssetIDs()
+	configs := standardConfigs(b, ids[0], ids[5], ids[11])
+	cap := threat.HurricaneIntrusionIsolation.Capability()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := engine.NewFailureMatrix(e, ids)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cm := engine.Compress(m, 1)
+		for _, cfg := range configs {
+			if _, err := engine.CellCountsCompressed(cm, cfg, cap, 1); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

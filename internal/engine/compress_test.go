@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"fmt"
 	"testing"
 
 	"compoundthreat/internal/engine"
@@ -8,6 +9,37 @@ import (
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
+
+// allDistinctEnsemble is the adversarial worst case for deduplication:
+// realization r floods exactly the assets of r's binary encoding, so
+// all rows are pairwise distinct (realizations must not exceed
+// 2^assets).
+func allDistinctEnsemble(t testing.TB, realizations, assets int) *hazard.Ensemble {
+	t.Helper()
+	if realizations > 1<<uint(assets) {
+		t.Fatalf("%d realizations cannot be distinct over %d assets", realizations, assets)
+	}
+	ids := make([]string, assets)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("a%02d", i)
+	}
+	cfg := hazard.OahuScenario()
+	cfg.Realizations = realizations
+	rows := make([][]float64, realizations)
+	for r := range rows {
+		rows[r] = make([]float64, assets)
+		for i := range rows[r] {
+			if r>>uint(i)&1 == 1 {
+				rows[r][i] = 1.0
+			}
+		}
+	}
+	e, err := hazard.NewEnsembleFromDepths(cfg, ids, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
 
 // standardConfigs returns the paper's five configuration families over
 // a three-asset placement, for sweeping tests.
@@ -133,8 +165,8 @@ func TestCompressDeterministicAcrossWorkers(t *testing.T) {
 // TestCellCountsCompressedMatchesCellCounts is the weighted path's
 // central claim: for random ensembles, every configuration family, and
 // every scenario, evaluating distinct patterns with multiplicities is
-// bit-identical to walking all realizations — for any worker count on
-// either side.
+// bit-identical to walking all realizations with the per-realization
+// reference — for any worker count.
 func TestCellCountsCompressedMatchesCellCounts(t *testing.T) {
 	assets := []string{"p", "s", "d"}
 	configs := standardConfigs(t, "p", "s", "d")
@@ -147,10 +179,7 @@ func TestCellCountsCompressedMatchesCellCounts(t *testing.T) {
 		cm := engine.Compress(m, 0)
 		for _, cfg := range configs {
 			for _, sc := range threat.Scenarios() {
-				want, err := engine.CellCounts(m, cfg, sc.Capability(), 1)
-				if err != nil {
-					t.Fatal(err)
-				}
+				want := oracleCounts(t, e, cfg, sc)
 				for _, workers := range []int{1, 2, 8, 0} {
 					got, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), workers)
 					if err != nil {
@@ -169,31 +198,12 @@ func TestCellCountsCompressedMatchesCellCounts(t *testing.T) {
 // TestCompressAllDistinct is the adversarial worst case: an ensemble
 // where every realization's failure pattern is unique. Compression must
 // degrade gracefully — ratio exactly 1.0, every weight 1 — and the
-// weighted path must still match the plain one.
+// weighted path must still match the per-realization reference.
 func TestCompressAllDistinct(t *testing.T) {
-	assetIDs := make([]string, 10)
-	for i := range assetIDs {
-		assetIDs[i] = string(rune('a' + i))
-	}
 	const realizations = 300
-	cfg := hazard.OahuScenario()
-	cfg.Realizations = realizations
-	rows := make([][]float64, realizations)
-	for r := range rows {
-		rows[r] = make([]float64, len(assetIDs))
-		for i := range rows[r] {
-			// Row r's failure pattern is the binary encoding of r, so all
-			// rows are pairwise distinct.
-			if r>>uint(i)&1 == 1 {
-				rows[r][i] = 1.0
-			}
-		}
-	}
-	e, err := hazard.NewEnsembleFromDepths(cfg, assetIDs, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := engine.NewFailureMatrix(e, assetIDs)
+	e := allDistinctEnsemble(t, realizations, 10)
+	ids := e.AssetIDs()
+	m, err := engine.NewFailureMatrix(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +219,9 @@ func TestCompressAllDistinct(t *testing.T) {
 			t.Fatalf("Weight(%d) = %d, want 1", i, cm.Weight(i))
 		}
 	}
-	config := topology.NewConfig666("a", "b", "c")
+	config := topology.NewConfig666(ids[0], ids[1], ids[2])
 	for _, sc := range threat.Scenarios() {
-		want, err := engine.CellCounts(m, config, sc.Capability(), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := oracleCounts(t, e, config, sc)
 		got, err := engine.CellCountsCompressed(cm, config, sc.Capability(), 0)
 		if err != nil {
 			t.Fatal(err)

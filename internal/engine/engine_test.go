@@ -11,6 +11,7 @@ import (
 	"compoundthreat/internal/engine"
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
@@ -37,6 +38,21 @@ func randomEnsemble(t testing.TB, seed int64, realizations int, assetIDs []strin
 		t.Fatal(err)
 	}
 	return e
+}
+
+// oracleCounts evaluates the cell with the per-realization reference
+// and returns its profile as an engine histogram.
+func oracleCounts(t testing.TB, e oracle.Ensemble, cfg topology.Config, sc threat.Scenario) engine.Counts {
+	t.Helper()
+	p, err := oracle.RunSequential(e, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c engine.Counts
+	for _, s := range opstate.States() {
+		c[s] = p.Count(s)
+	}
+	return c
 }
 
 func TestFailureMatrixMatchesFailureVector(t *testing.T) {
@@ -194,28 +210,27 @@ func TestForEachPropagatesError(t *testing.T) {
 
 // TestCellCountsAgreeAcrossWorkerCounts checks the engine's central
 // determinism claim: the same cell evaluated with different worker
-// counts (and thus different chunkings) produces identical counts.
+// counts (and thus different chunkings) produces identical counts, all
+// equal to the per-realization reference. The view is all-distinct so
+// every worker count really splits the rows into chunks.
 func TestCellCountsAgreeAcrossWorkerCounts(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 5, 500, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
+	e := allDistinctEnsemble(t, 500, 12)
+	ids := e.AssetIDs()
+	m, err := engine.NewFailureMatrix(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := topology.NewConfig666("p", "s", "d")
+	cm := engine.Compress(m, 1)
+	cfg := topology.NewConfig666(ids[0], ids[1], ids[2])
 	for _, sc := range threat.Scenarios() {
-		var want engine.Counts
-		for wi, workers := range []int{1, 2, 3, runtime.NumCPU(), 0} {
-			got, err := engine.CellCounts(m, cfg, sc.Capability(), workers)
+		want := oracleCounts(t, e, cfg, sc)
+		for _, workers := range []int{1, 2, 3, runtime.NumCPU(), 0} {
+			got, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got.Total() != e.Size() {
 				t.Fatalf("%v workers=%d: total %d, want %d", sc, workers, got.Total(), e.Size())
-			}
-			if wi == 0 {
-				want = got
-				continue
 			}
 			if got != want {
 				t.Errorf("%v workers=%d: counts %v != reference %v", sc, workers, got, want)
@@ -231,13 +246,14 @@ func TestCellProfileMatchesCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cm := engine.Compress(m, 1)
 	cfg := topology.NewConfig66("p", "s")
 	cap := threat.HurricaneIntrusion.Capability()
-	counts, err := engine.CellCounts(m, cfg, cap, 1)
+	counts, err := engine.CellCountsCompressed(cm, cfg, cap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile, err := engine.CellProfile(m, cfg, cap, 1)
+	profile, err := engine.CellProfileCompressed(cm, cfg, cap, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

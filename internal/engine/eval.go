@@ -13,7 +13,7 @@ import (
 
 // maxMemoSites bounds the per-pattern memo table (2^S entries). Every
 // configuration family in this module has at most four sites; beyond
-// the bound the evaluator falls back to per-realization evaluation,
+// the bound the evaluator falls back to evaluating every distinct row,
 // which is still allocation-free.
 const maxMemoSites = 16
 
@@ -162,51 +162,15 @@ func (p *EvaluatorPool) Put(ev *Evaluator) {
 	}
 }
 
-// AddRange evaluates realizations [lo, hi) into counts. The loop body
-// performs no allocations: patterns are read straight from the
-// bit-packed matrix and outcomes come from the memo table (filled
-// lazily through the reusable analyzer).
-func (ev *Evaluator) AddRange(counts *Counts, lo, hi int) error {
-	if ev.memo != nil {
-		misses := 0
-		for r := lo; r < hi; r++ {
-			p := ev.m.Pattern(r, ev.cols)
-			if !ev.have[p] {
-				misses++
-				s, err := ev.an.EvaluateMask(p)
-				if err != nil {
-					return err
-				}
-				ev.memo[p], ev.have[p] = s, true
-			}
-			counts[ev.memo[p]]++
-		}
-		// Flush memo statistics once per range: the loop body itself
-		// stays branch-light and allocation-free in both modes.
-		ev.memoHits.Add(int64(hi - lo - misses))
-		ev.memoMisses.Add(int64(misses))
-		ev.realizations.Add(int64(hi - lo))
-		return nil
-	}
-	for r := lo; r < hi; r++ {
-		ev.flood = ev.m.Gather(ev.flood[:0], r, ev.cols)
-		s, err := ev.an.Evaluate(ev.flood)
-		if err != nil {
-			return err
-		}
-		counts[s]++
-	}
-	ev.fallbackEvals.Add(int64(hi - lo))
-	ev.realizations.Add(int64(hi - lo))
-	return nil
-}
-
 // AddWeighted evaluates distinct rows [lo, hi) of the compressed view
 // into counts, adding each row's multiplicity to its outcome bucket.
 // Because the attacker is a pure function of the flooded pattern, the
-// result is bit-identical to AddRange over the realizations the rows
+// result is bit-identical to evaluating every realization the rows
 // stand for — at O(distinct rows) cost. The loop body performs no
-// allocations. cm must be a compression of the evaluator's matrix.
+// allocations: patterns are read straight from the bit-packed rows and
+// outcomes come from the memo table (filled lazily through the
+// reusable analyzer). cm must be a compression of the evaluator's
+// matrix.
 func (ev *Evaluator) AddWeighted(counts *Counts, cm *CompressedMatrix, lo, hi int) error {
 	if cm.Source() != ev.m {
 		return errCompressedMismatch
@@ -248,11 +212,13 @@ func (ev *Evaluator) AddWeighted(counts *Counts, cm *CompressedMatrix, lo, hi in
 	return nil
 }
 
-// CellCountsCompressed is CellCounts over a compressed view: every
-// distinct pattern is evaluated exactly once and weighted by its
-// multiplicity, so the cell costs O(distinct rows) instead of
-// O(realizations). Results are bit-identical to CellCounts on the
-// source matrix.
+// CellCountsCompressed evaluates one (configuration, capability) cell
+// over a compressed view: every distinct pattern is evaluated exactly
+// once and weighted by its multiplicity, so the cell costs O(distinct
+// rows) instead of O(realizations). The distinct-row range is split
+// into per-worker chunks (each with its own Evaluator) whose histograms
+// merge in fixed index order, so the result is identical for every
+// worker count and bit-identical to walking every realization.
 func CellCountsCompressed(cm *CompressedMatrix, cfg topology.Config, capability threat.Capability, workers int) (Counts, error) {
 	var total Counts
 	workers = Workers(workers)
@@ -286,48 +252,6 @@ func CellCountsCompressed(cm *CompressedMatrix, cfg topology.Config, capability 
 // stats.Profile.
 func CellProfileCompressed(cm *CompressedMatrix, cfg topology.Config, capability threat.Capability, workers int) (*stats.Profile, error) {
 	counts, err := CellCountsCompressed(cm, cfg, capability, workers)
-	if err != nil {
-		return nil, err
-	}
-	return counts.Profile(), nil
-}
-
-// CellCounts evaluates every realization of the cell, splitting the
-// realization range into per-worker chunks (each with its own
-// Evaluator) and merging chunk histograms in fixed index order, so the
-// result is bit-identical to a sequential pass.
-func CellCounts(m *FailureMatrix, cfg topology.Config, cap threat.Capability, workers int) (Counts, error) {
-	var total Counts
-	workers = Workers(workers)
-	if workers <= 1 || m.Rows() < 2*workers {
-		ev, err := NewEvaluator(m, cfg, cap)
-		if err != nil {
-			return Counts{}, err
-		}
-		err = ev.AddRange(&total, 0, m.Rows())
-		return total, err
-	}
-	parts := chunks(m.Rows(), workers)
-	results := make([]Counts, len(parts))
-	err := ForEach(workers, len(parts), func(i int) error {
-		ev, err := NewEvaluator(m, cfg, cap)
-		if err != nil {
-			return err
-		}
-		return ev.AddRange(&results[i], parts[i].lo, parts[i].hi)
-	})
-	if err != nil {
-		return Counts{}, err
-	}
-	for i := range results {
-		total.Add(&results[i])
-	}
-	return total, nil
-}
-
-// CellProfile is CellCounts rendered as a stats.Profile.
-func CellProfile(m *FailureMatrix, cfg topology.Config, cap threat.Capability, workers int) (*stats.Profile, error) {
-	counts, err := CellCounts(m, cfg, cap, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -24,35 +24,45 @@ func withRecorder(t *testing.T) *obs.Recorder {
 	return rec
 }
 
-// TestEvaluatorMemoMetrics checks the memo accounting: hits + misses
-// equals realizations, and misses equals the number of distinct
-// flooded patterns (each filled exactly once).
-func TestEvaluatorMemoMetrics(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 7, 500, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
+// distinctView compiles and compresses 1000 all-distinct rows over 12
+// assets — every row weight 1, the case where the weighted loop does as
+// much work as a full realization walk — and returns it with a "6+6+6"
+// configuration over three of the assets.
+func distinctView(t *testing.T) (*engine.FailureMatrix, *engine.CompressedMatrix, topology.Config) {
+	t.Helper()
+	e := allDistinctEnsemble(t, 1000, 12)
+	ids := e.AssetIDs()
+	m, err := engine.NewFailureMatrix(e, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, engine.Compress(m, 1), topology.NewConfig666(ids[0], ids[5], ids[11])
+}
+
+// TestEvaluatorMemoMetrics checks the memo accounting: hits + misses
+// equals the distinct rows walked, misses equals the number of distinct
+// flooded-site patterns (each filled exactly once), and the realization
+// counter adds up the row weights.
+func TestEvaluatorMemoMetrics(t *testing.T) {
+	m, cm, cfg := distinctView(t)
 	rec := withRecorder(t)
-	cfg := topology.NewConfig666("p", "s", "d")
 	cap := threat.HurricaneIntrusionIsolation.Capability()
 	ev, err := engine.NewEvaluator(m, cfg, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var counts engine.Counts
-	if err := ev.AddRange(&counts, 0, m.Rows()); err != nil {
+	if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
 		t.Fatal(err)
 	}
 
-	cols, err := m.Columns(assets)
+	cols, err := m.Columns([]string{cfg.Sites[0].AssetID, cfg.Sites[1].AssetID, cfg.Sites[2].AssetID})
 	if err != nil {
 		t.Fatal(err)
 	}
 	distinct := map[uint64]bool{}
-	for r := 0; r < m.Rows(); r++ {
-		distinct[m.Pattern(r, cols)] = true
+	for i := 0; i < cm.DistinctRows(); i++ {
+		distinct[cm.Pattern(i, cols)] = true
 	}
 
 	hits := rec.Counter("engine.memo_hits").Value()
@@ -60,8 +70,8 @@ func TestEvaluatorMemoMetrics(t *testing.T) {
 	if misses != int64(len(distinct)) {
 		t.Errorf("memo misses = %d, want %d distinct patterns", misses, len(distinct))
 	}
-	if hits+misses != int64(m.Rows()) {
-		t.Errorf("hits %d + misses %d != %d realizations", hits, misses, m.Rows())
+	if hits+misses != int64(cm.DistinctRows()) {
+		t.Errorf("hits %d + misses %d != %d distinct rows", hits, misses, cm.DistinctRows())
 	}
 	if got := rec.Counter("engine.realizations").Value(); got != int64(m.Rows()) {
 		t.Errorf("realizations counter = %d, want %d", got, m.Rows())
@@ -138,26 +148,16 @@ func TestForEachMetrics(t *testing.T) {
 // TestInstrumentedResultsUnchanged cross-checks that enabling the
 // recorder does not change any computed outcome.
 func TestInstrumentedResultsUnchanged(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 11, 400, assets)
-	cfg := topology.NewConfig666("p", "s", "d")
 	cap := threat.HurricaneIntrusionIsolation.Capability()
-
-	m, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := engine.CellCounts(m, cfg, cap, 2)
+	_, cm, cfg := distinctView(t)
+	plain, err := engine.CellCountsCompressed(cm, cfg, cap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	withRecorder(t)
-	m2, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	instrumented, err := engine.CellCounts(m2, cfg, cap, 2)
+	_, cm2, _ := distinctView(t)
+	instrumented, err := engine.CellCountsCompressed(cm2, cfg, cap, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,62 +166,42 @@ func TestInstrumentedResultsUnchanged(t *testing.T) {
 	}
 }
 
-// TestAddRangeNoAllocsDisabled pins the hard requirement: with
-// observability off, the evaluator's realization loop performs zero
-// allocations.
-func TestAddRangeNoAllocsDisabled(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 42, 300, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev, err := engine.NewEvaluator(m, topology.NewConfig666("p", "s", "d"),
-		threat.HurricaneIntrusionIsolation.Capability())
+// weightedAllocs warms an evaluator over the all-distinct view, then
+// returns the allocations per weighted pass over all 1000 rows.
+func weightedAllocs(t *testing.T, m *engine.FailureMatrix, cm *engine.CompressedMatrix, cfg topology.Config) float64 {
+	t.Helper()
+	ev, err := engine.NewEvaluator(m, cfg, threat.HurricaneIntrusionIsolation.Capability())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var warm engine.Counts
-	if err := ev.AddRange(&warm, 0, m.Rows()); err != nil {
+	if err := ev.AddWeighted(&warm, cm, 0, cm.DistinctRows()); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
+	return testing.AllocsPerRun(20, func() {
 		var counts engine.Counts
-		if err := ev.AddRange(&counts, 0, m.Rows()); err != nil {
+		if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("AddRange allocated %v times per run with observability disabled", allocs)
+}
+
+// TestAddRangeNoAllocsDisabled pins the hard requirement: with
+// observability off, the evaluator's weighted row loop performs zero
+// allocations, even over 1000 weight-1 rows.
+func TestAddRangeNoAllocsDisabled(t *testing.T) {
+	m, cm, cfg := distinctView(t)
+	if allocs := weightedAllocs(t, m, cm, cfg); allocs != 0 {
+		t.Fatalf("AddWeighted allocated %v times per run with observability disabled", allocs)
 	}
 }
 
 // TestAddRangeNoAllocsEnabled: the same loop stays allocation-free
 // with a live recorder — metrics are atomics resolved at construction.
 func TestAddRangeNoAllocsEnabled(t *testing.T) {
-	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 42, 300, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, cm, cfg := distinctView(t)
 	withRecorder(t)
-	ev, err := engine.NewEvaluator(m, topology.NewConfig666("p", "s", "d"),
-		threat.HurricaneIntrusionIsolation.Capability())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var warm engine.Counts
-	if err := ev.AddRange(&warm, 0, m.Rows()); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		var counts engine.Counts
-		if err := ev.AddRange(&counts, 0, m.Rows()); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AddRange allocated %v times per run with observability enabled", allocs)
+	if allocs := weightedAllocs(t, m, cm, cfg); allocs != 0 {
+		t.Fatalf("AddWeighted allocated %v times per run with observability enabled", allocs)
 	}
 }

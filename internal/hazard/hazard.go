@@ -409,9 +409,10 @@ feed:
 // pipeline: per realization the storm track is scanned exactly once,
 // every needed shoreline segment's setup is evaluated once per time
 // step into a shared vector, and all zone and site averages are
-// accumulated from it. Results are bit-identical to GenerateReference
-// for every worker count; steady-state workers allocate nothing per
-// realization.
+// accumulated from it. Results are bit-identical for every worker count
+// to the per-consumer reference (surge.Solver.Inundation per site list
+// plus a RegionPeak re-scan per zone) that the package tests keep;
+// steady-state workers allocate nothing per realization.
 //
 // Assets inside a terrain inundation zone are evaluated against the
 // zone's common water surface (the paper's averaged-and-extended water
@@ -501,75 +502,12 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 	return e, nil
 }
 
-// GenerateReference runs the same ensemble through the historical
-// per-consumer path: per realization, surge.Solver.Inundation scans
-// the track for the site list and RegionPeak re-scans it per zone. It
-// is kept as the independent reference implementation that Generate is
-// cross-checked bit-identical against, and as the baseline of the
-// generation benchmarks.
-func (g *Generator) GenerateReference(cfg EnsembleConfig) (*Ensemble, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	p, err := g.compilePlan()
-	if err != nil {
-		return nil, err
-	}
-	e := newEnsembleShell(cfg, p.ids)
-	err = runRealizations(context.Background(), generateWorkers(cfg), cfg.Realizations, func() func(int) error {
-		return func(r int) error {
-			tr, err := realizationTrack(cfg, r)
-			if err != nil {
-				return fmt.Errorf("realization %d: %w", r, err)
-			}
-			row := g.solver.Inundation(tr, p.sites)
-			// Re-evaluate zone assets against their zone's common water
-			// surface.
-			var zoneEta []float64
-			for i := range row {
-				z := p.zoneOf[i]
-				if z < 0 {
-					continue
-				}
-				if zoneEta == nil {
-					zoneEta = g.zonePeaks(tr)
-				}
-				depth := zoneEta[z]*p.decay[i] - p.sites[i].GroundElevationMeters
-				if depth < 0 {
-					depth = 0
-				}
-				row[i] = depth
-			}
-			copy(e.depths[r], row)
-			return nil
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.buildFailureColumns()
-	return e, nil
-}
-
 // generateWorkers resolves the configured worker count.
 func generateWorkers(cfg EnsembleConfig) int {
 	if cfg.Workers > 0 {
 		return cfg.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// zonePeaks evaluates every zone's common water surface for the track.
-func (g *Generator) zonePeaks(tr *wind.Track) []float64 {
-	out := make([]float64, g.tm.NumZones())
-	for z := range out {
-		center, radius, err := g.tm.ZoneGeometry(z)
-		if err != nil {
-			continue // unreachable: z ranges over NumZones
-		}
-		out[z] = g.solver.RegionPeak(tr, center, radius)
-	}
-	return out
 }
 
 // Config returns the generation configuration.

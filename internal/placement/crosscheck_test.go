@@ -1,16 +1,54 @@
 package placement
 
 // Cross-checks of the matrix-backed parallel search against the plain
-// sequential reference: identical ranking, scores, and profiles.
+// sequential reference searches in internal/oracle: identical ranking,
+// scores, and profiles.
 
 import (
 	"runtime"
 	"testing"
 
+	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
 )
+
+// candidateIDs lists the request inventory's control-site candidates in
+// inventory order: the universe the oracle searches enumerate.
+func candidateIDs(req Request) []string {
+	var ids []string
+	for _, a := range req.Inventory.ControlSiteCandidates() {
+		ids = append(ids, a.ID)
+	}
+	return ids
+}
+
+// rankPlaced scores the oracle's placements with the request's
+// objective and ranks them, so they compare directly against a
+// production search result.
+func rankPlaced(req Request, placed []oracle.Placed) []Candidate {
+	req.setDefaults()
+	out := make([]Candidate, len(placed))
+	for i, p := range placed {
+		o := analysis.Outcome{Config: p.Config, Scenario: req.Scenario, Profile: p.Profile}
+		out[i] = Candidate{Placement: p.Placement, Score: req.Objective(o), Outcome: o}
+	}
+	Rank(out)
+	return out
+}
+
+// sequentialPairs is the oracle counterpart of SearchPairs(req).
+func sequentialPairs(t *testing.T, req Request) []Candidate {
+	t.Helper()
+	req.setDefaults()
+	placed, err := oracle.SearchPairsSequential(req.Ensemble, req.Primary, candidateIDs(req), req.Build, req.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rankPlaced(req, placed)
+}
 
 func sameCandidates(t *testing.T, label string, got, want []Candidate) {
 	t.Helper()
@@ -42,10 +80,7 @@ func TestSearchPairsMatchesSequential(t *testing.T) {
 			Primary:   "p",
 			Scenario:  scenario,
 		}
-		want, err := SearchPairsSequential(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sequentialPairs(t, base)
 		for _, workers := range []int{1, 2, runtime.NumCPU()} {
 			req := base
 			req.Workers = workers
@@ -72,10 +107,7 @@ func TestSearchPairsKernelMatchesEvaluator(t *testing.T) {
 			Primary:   "p",
 			Scenario:  scenario,
 		}
-		want, err := SearchPairsSequential(base)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sequentialPairs(t, base)
 		kernel, err := SearchPairs(base)
 		if err != nil {
 			t.Fatal(err)
@@ -104,10 +136,12 @@ func TestSearchSecondSiteMatchesSequential(t *testing.T) {
 			return topology.NewConfig22(p.Primary, p.Second)
 		},
 	}
-	want, err := SearchSecondSiteSequential(base, "dc")
+	base.setDefaults()
+	placed, err := oracle.SearchSecondSiteSequential(e, base.Primary, "dc", candidateIDs(base), base.Build, base.Scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := rankPlaced(base, placed)
 	for _, workers := range []int{1, 2, runtime.NumCPU()} {
 		req := base
 		req.Workers = workers

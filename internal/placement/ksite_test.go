@@ -11,6 +11,7 @@ import (
 	"compoundthreat/internal/geo"
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/oracle"
 	"compoundthreat/internal/seismic"
 	"compoundthreat/internal/threat"
 	"compoundthreat/internal/topology"
@@ -82,8 +83,8 @@ func earthquakeUniverse(t *testing.T) (analysis.DisasterEnsemble, []string) {
 }
 
 // bruteForceK enumerates every k-subset of the sorted candidates in
-// lexicographic order, scores each through the full sequential
-// analysis pipeline, and keeps the first best — the reference the
+// lexicographic order, scores each through the per-realization
+// reference (oracle.RunSequential), and keeps the first best — the reference the
 // exact search must match bit for bit.
 func bruteForceK(t *testing.T, e analysis.DisasterEnsemble, cands []string, k int, scenario threat.Scenario, w StateWeights) ([]string, float64) {
 	t.Helper()
@@ -102,13 +103,13 @@ func bruteForceK(t *testing.T, e analysis.DisasterEnsemble, cands []string, k in
 		for i, j := range idx {
 			subset[i] = sorted[j]
 		}
-		out, err := analysis.RunSequential(e, topology.NewConfigKSite(subset), scenario)
+		profile, err := oracle.RunSequential(e, topology.NewConfigKSite(subset), scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var raw float64
 		for _, st := range opstate.States() {
-			raw += w[st] * float64(out.Profile.Count(st))
+			raw += w[st] * float64(profile.Count(st))
 		}
 		if raw > bestRaw {
 			bestRaw, bestSet = raw, subset
@@ -231,13 +232,13 @@ func TestSearchKGreedy(t *testing.T) {
 			}
 		}
 		// Self-consistency: the greedy score is the true score of its set.
-		out, err := analysis.RunSequential(e, topology.NewConfigKSite(first.Sites), base.Scenario)
+		profile, err := oracle.RunSequential(e, topology.NewConfigKSite(first.Sites), base.Scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var raw float64
 		for _, st := range opstate.States() {
-			raw += base.Weights[st] * float64(out.Profile.Count(st))
+			raw += base.Weights[st] * float64(profile.Count(st))
 		}
 		if want := raw / float64(e.Size()); first.Score != want {
 			t.Errorf("k=%d: greedy reports %v, its set scores %v", k, first.Score, want)

@@ -6,11 +6,11 @@
 // finding and generalizing it to full placement search.
 //
 // The search compiles the ensemble's failure flags for the whole
-// candidate universe into one bit-packed matrix and evaluates the
-// candidate placements in parallel against it, instead of re-walking
-// the full ensemble once per candidate pair. SearchPairsSequential and
-// SearchSecondSiteSequential are the plain reference implementations
-// the fast path is cross-checked against in tests.
+// candidate universe into one bit-packed matrix, deduplicates its rows
+// to the distinct flood patterns once, and evaluates the candidate
+// placements in parallel against them, instead of re-walking the full
+// ensemble once per candidate pair. Tests cross-check it against the
+// plain per-realization reference searches in internal/oracle.
 package placement
 
 import (
@@ -72,11 +72,6 @@ type Request struct {
 	// Workers bounds parallelism across candidate placements
 	// (0 = runtime.NumCPU()).
 	Workers int
-	// NoCompress disables failure-matrix row deduplication. By default
-	// the candidate-universe matrix is compressed once and every
-	// candidate pair is evaluated per distinct flood pattern with
-	// multiplicities — bit-identical to walking every realization.
-	NoCompress bool
 	// NoKernel disables the word-parallel mask kernel, forcing the
 	// memoized per-pattern evaluator even when the configuration family
 	// is symmetric. The kernel is bit-identical where eligible
@@ -194,8 +189,8 @@ func secondSitePlacements(req Request, dataCenter string) []topology.Placement {
 // control-site candidates and returns candidates ranked best first
 // (ties broken lexicographically for determinism). Candidates are
 // evaluated in parallel against one failure matrix compiled over the
-// whole candidate universe; results are bit-identical to
-// SearchPairsSequential.
+// whole candidate universe; results are bit-identical to re-running
+// the full ensemble for every pair.
 func SearchPairs(req Request) ([]Candidate, error) {
 	req.setDefaults()
 	if err := req.validate(); err != nil {
@@ -250,10 +245,7 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	// patterns. A shared evaluator pool recycles the 2^S memo tables
 	// and analyzer scratch across cells instead of re-allocating them
 	// per placement.
-	var cm *engine.CompressedMatrix
-	if !req.NoCompress {
-		cm = engine.Compress(m, req.Workers)
-	}
+	cm := engine.Compress(m, req.Workers)
 	capability := req.Scenario.Capability()
 	// Word-parallel fast path: when the whole candidate family is one
 	// symmetric configuration shape, a single StateByCount table covers
@@ -261,7 +253,7 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	// distinct patterns — no per-placement revalidation, no memo tables.
 	// Bit-identical to the evaluator path (the family being symmetric is
 	// itself cross-checked exhaustively in the engine tests).
-	byCount := kernelTable(configs, capability, cm != nil && !req.NoKernel)
+	byCount := kernelTable(configs, capability, !req.NoKernel)
 	var kernels sync.Pool
 	var pool engine.EvaluatorPool
 	out := make([]Candidate, len(placements))
@@ -282,11 +274,7 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 			if err != nil {
 				return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
 			}
-			if cm != nil {
-				err = ev.AddWeighted(&counts, cm, 0, cm.DistinctRows())
-			} else {
-				err = ev.AddRange(&counts, 0, m.Rows())
-			}
+			err = ev.AddWeighted(&counts, cm, 0, cm.DistinctRows())
 			pool.Put(ev)
 			if err != nil {
 				return fmt.Errorf("placement: %s/%s: %w", placements[i].Second, placements[i].DataCenter, err)
@@ -339,59 +327,6 @@ func sameShape(a, b topology.Config) bool {
 		}
 	}
 	return true
-}
-
-// SearchPairsSequential is the reference implementation of
-// SearchPairs: every candidate pair re-runs the full ensemble through
-// analysis.RunSequential.
-func SearchPairsSequential(req Request) ([]Candidate, error) {
-	req.setDefaults()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	return searchSequential(req, pairPlacements(req))
-}
-
-// SearchSecondSiteSequential is the reference implementation of
-// SearchSecondSite.
-func SearchSecondSiteSequential(req Request, dataCenter string) ([]Candidate, error) {
-	req.setDefaults()
-	if err := req.validate(); err != nil {
-		return nil, err
-	}
-	if _, ok := req.Inventory.ByID(dataCenter); !ok {
-		return nil, fmt.Errorf("placement: unknown data center asset %q", dataCenter)
-	}
-	return searchSequential(req, secondSitePlacements(req, dataCenter))
-}
-
-func searchSequential(req Request, placements []topology.Placement) ([]Candidate, error) {
-	if len(placements) == 0 {
-		return nil, errors.New("placement: no candidate placements")
-	}
-	out := make([]Candidate, 0, len(placements))
-	for _, p := range placements {
-		cand, err := evaluateSequential(req, p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cand)
-	}
-	Rank(out)
-	return out, nil
-}
-
-func evaluateSequential(req Request, p topology.Placement) (Candidate, error) {
-	cfg := req.Build(p)
-	outcome, err := analysis.RunSequential(req.Ensemble, cfg, req.Scenario)
-	if err != nil {
-		return Candidate{}, fmt.Errorf("placement: %s/%s: %w", p.Second, p.DataCenter, err)
-	}
-	return Candidate{
-		Placement: p,
-		Score:     req.Objective(outcome),
-		Outcome:   outcome,
-	}, nil
 }
 
 // Rank orders candidates best first under a stable, fully
