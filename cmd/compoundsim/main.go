@@ -91,7 +91,7 @@ func run(args []string) (err error) {
 		cfg.Seed = *seed
 	}
 	fmt.Fprintf(os.Stderr, "generating %d hurricane realizations...\n", cfg.Realizations)
-	genSpan := rec.StartSpan("cli.generate_ensemble")
+	genSpan := rec.StartSpan("cli.generate_ensemble_ns")
 	ensemble, err := gen.Generate(cfg)
 	genSpan.End()
 	if err != nil {

@@ -61,14 +61,9 @@ func TestMetricsReport(t *testing.T) {
 	}
 
 	// Phase timings for generation and evaluation must be present.
-	phases := map[string]obs.PhaseReport{}
-	for _, p := range rep.Phases {
-		phases[p.Name] = p
-	}
-	for _, name := range []string{"cli.generate_ensemble", "analysis.figure", "engine.matrix_compile", "engine.foreach_wall", "engine.worker_busy"} {
-		p, ok := phases[name]
-		if !ok || p.Count == 0 {
-			t.Errorf("phase %q missing from run report", name)
+	for _, name := range []string{"cli.generate_ensemble_ns", "analysis.figure_ns", "engine.matrix_compile_ns", "engine.foreach_wall_ns", "engine.worker_busy_ns"} {
+		if h, ok := rep.Histogram[name]; !ok || h.Count == 0 {
+			t.Errorf("phase histogram %q missing from run report", name)
 		}
 	}
 

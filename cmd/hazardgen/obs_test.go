@@ -42,14 +42,8 @@ func TestMetricsReport(t *testing.T) {
 	if rep.Command != "hazardgen" || rep.Schema != obs.ReportSchema {
 		t.Fatalf("report header = %q / %q", rep.Schema, rep.Command)
 	}
-	found := false
-	for _, p := range rep.Phases {
-		if p.Name == "cli.generate_ensemble" && p.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("cli.generate_ensemble phase missing from run report")
+	if h := rep.Histogram["cli.generate_ensemble_ns"]; h.Count != 1 {
+		t.Errorf("cli.generate_ensemble_ns count = %d, want 1", h.Count)
 	}
 	if got, ok := rep.Results["realizations"].(float64); !ok || got != 20 {
 		t.Errorf("results.realizations = %v, want 20", rep.Results["realizations"])

@@ -88,7 +88,7 @@ func run(args []string) (err error) {
 	cfg := hazard.OahuScenario()
 	cfg.Realizations = *realizations
 	fmt.Fprintf(os.Stderr, "generating %d realizations...\n", cfg.Realizations)
-	genSpan := rec.StartSpan("cli.generate_ensemble")
+	genSpan := rec.StartSpan("cli.generate_ensemble_ns")
 	ensemble, err := gen.Generate(cfg)
 	genSpan.End()
 	if err != nil {
@@ -178,7 +178,7 @@ func runKSite(rec *obs.Recorder, scenario threat.Scenario, k int, exact bool,
 		cfg := hazard.OahuScenario()
 		cfg.Realizations = realizations
 		fmt.Fprintf(os.Stderr, "generating %d realizations...\n", cfg.Realizations)
-		genSpan := rec.StartSpan("cli.generate_ensemble")
+		genSpan := rec.StartSpan("cli.generate_ensemble_ns")
 		ensemble, err := gen.Generate(cfg)
 		genSpan.End()
 		if err != nil {

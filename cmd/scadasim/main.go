@@ -104,7 +104,7 @@ func run(args []string) (err error) {
 	// Behavioral run with the attacker's concrete plan.
 	params := scada.DefaultParams()
 	params.Seed = *seed
-	simSpan := rec.StartSpan("cli.simulate")
+	simSpan := rec.StartSpan("cli.simulate_ns")
 	result, err := scada.Run(cfg, scada.Scenario{
 		Flooded:           flooded,
 		Isolated:          predicted.Plan.IsolatedSites,

@@ -39,14 +39,8 @@ func TestMetricsReport(t *testing.T) {
 	if rep.Command != "scadasim" || rep.Schema != obs.ReportSchema {
 		t.Fatalf("report header = %q / %q", rep.Schema, rep.Command)
 	}
-	found := false
-	for _, p := range rep.Phases {
-		if p.Name == "cli.simulate" && p.Count == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("cli.simulate phase missing from run report")
+	if h := rep.Histogram["cli.simulate_ns"]; h.Count != 1 {
+		t.Errorf("cli.simulate_ns count = %d, want 1", h.Count)
 	}
 	sim, ok := rep.Results["simulation"].(map[string]any)
 	if !ok {

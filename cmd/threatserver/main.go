@@ -171,7 +171,7 @@ func run(args []string) (err error) {
 		hcfg.Seed = *seed
 	}
 	fmt.Fprintf(os.Stderr, "generating %d hurricane realizations...\n", hcfg.Realizations)
-	span := rec.StartSpan("cli.generate_ensemble")
+	span := rec.StartSpan("cli.generate_ensemble_ns")
 	hurricane, err := gen.Generate(hcfg)
 	span.End()
 	if err != nil {
@@ -185,7 +185,7 @@ func run(args []string) (err error) {
 			qcfg.Seed = *seed
 		}
 		fmt.Fprintf(os.Stderr, "generating %d earthquake realizations...\n", qcfg.Realizations)
-		qspan := rec.StartSpan("cli.generate_quake_ensemble")
+		qspan := rec.StartSpan("cli.generate_quake_ensemble_ns")
 		quakes, err := seismic.Generate(qcfg, inv)
 		qspan.End()
 		if err != nil {

@@ -161,7 +161,7 @@ func TestServeQueryDrain(t *testing.T) {
 		}
 	}
 	code, body = s.get("/v1/report")
-	if code != http.StatusOK || body["schema"] != "compoundthreat/run-report/v1" {
+	if code != http.StatusOK || body["schema"] != "compoundthreat/run-report/v2" {
 		t.Fatalf("live report = %d %v", code, body)
 	}
 

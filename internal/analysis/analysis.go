@@ -187,7 +187,7 @@ func assetUniverse(configs []topology.Config) ([]string, error) {
 // interface); evaluation afterwards reads only the immutable view and
 // parallelizes freely.
 func compileUniverse(e DisasterEnsemble, configs []topology.Config, opt Options) (compiledView, error) {
-	defer obs.Default().StartSpan("analysis.compile_matrices").End()
+	defer obs.Default().StartSpan("analysis.compile_matrices_ns").End()
 	universe, err := assetUniverse(configs)
 	if err != nil {
 		return compiledView{}, err
@@ -230,7 +230,7 @@ func RunConfigsCtx(ctx context.Context, e DisasterEnsemble, configs []topology.C
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Default().StartSpan("analysis.run_configs").End()
+	defer obs.Default().StartSpan("analysis.run_configs_ns").End()
 	out := make([]Outcome, len(configs))
 	err = engine.ForEachCtx(ctx, opt.Workers, len(configs), func(i int) error {
 		o, err := runCell(v, configs[i], scenario, 1)
@@ -275,7 +275,7 @@ func RunMatrixCtx(ctx context.Context, e DisasterEnsemble, configs []topology.Co
 	if err != nil {
 		return nil, err
 	}
-	defer obs.Default().StartSpan("analysis.run_matrix").End()
+	defer obs.Default().StartSpan("analysis.run_matrix_ns").End()
 	scenarios := threat.Scenarios()
 	cells := make([]Outcome, len(scenarios)*len(configs))
 	err = engine.ForEachCtx(ctx, opt.Workers, len(cells), func(k int) error {

@@ -123,7 +123,7 @@ func (cs *CaseStudy) Ensemble() *hazard.Ensemble { return cs.ensemble }
 // EvaluateFigure runs the five standard configurations for the figure's
 // placement and scenario.
 func (cs *CaseStudy) EvaluateFigure(f Figure) (FigureResult, error) {
-	defer obs.Default().StartSpan("analysis.figure").End()
+	defer obs.Default().StartSpan("analysis.figure_ns").End()
 	configs, err := topology.StandardConfigs(f.Placement)
 	if err != nil {
 		return FigureResult{}, err
@@ -141,7 +141,7 @@ func (cs *CaseStudy) EvaluateFigure(f Figure) (FigureResult, error) {
 // figures' site assets — compiled (and, by default, compressed to its
 // distinct rows) exactly once and shared across every cell.
 func (cs *CaseStudy) EvaluateAllFigures() ([]FigureResult, error) {
-	defer obs.Default().StartSpan("analysis.all_figures").End()
+	defer obs.Default().StartSpan("analysis.all_figures_ns").End()
 	figs := PaperFigures()
 
 	// Flatten figures into cells and collect every configuration so one

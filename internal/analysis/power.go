@@ -92,7 +92,7 @@ func RunPowerSweep(req PowerSweepRequest) ([]PowerPoint, error) {
 	if err := req.validate(); err != nil {
 		return nil, err
 	}
-	defer obs.Default().StartSpan("analysis.power_sweep").End()
+	defer obs.Default().StartSpan("analysis.power_sweep_ns").End()
 	obs.Default().Counter("analysis.power_points").Add(int64(len(req.Successes)))
 	trials := req.TrialsPerRealization
 	if trials == 0 {

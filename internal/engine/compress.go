@@ -54,7 +54,7 @@ const linearScanLimit = 64
 // hashing pass entirely.
 func Compress(m *FailureMatrix, workers int) *CompressedMatrix {
 	rec := obs.Default()
-	defer rec.StartSpan("engine.compress").End()
+	defer rec.StartSpan("engine.compress_ns").End()
 	c := &CompressedMatrix{src: m, stride: m.stride, rows: m.rows}
 	if m.stride == 1 {
 		compressWords(c, m)

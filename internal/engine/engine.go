@@ -95,8 +95,8 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 // The first error observed stops the remaining work and is returned.
 //
 // When observability is enabled (obs.Enable), every call records its
-// wall time ("engine.foreach_wall"), per-worker busy time
-// ("engine.worker_busy"), and a tasks-per-worker histogram; with it
+// wall time ("engine.foreach_wall_ns"), per-worker busy time
+// ("engine.worker_busy_ns"), and a tasks-per-worker histogram; with it
 // disabled the pool is unchanged and allocation-free.
 func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
@@ -108,14 +108,14 @@ func ForEach(workers, n int, fn func(i int) error) error {
 		workers = n
 	}
 	if rec != nil {
-		defer rec.StartSpan("engine.foreach_wall").End()
+		defer rec.StartSpan("engine.foreach_wall_ns").End()
 		rec.Counter("engine.foreach_calls").Add(1)
 		rec.Counter("engine.foreach_tasks").Add(int64(n))
 		rec.Counter("engine.foreach_workers").Add(int64(workers))
 	}
 	if workers <= 1 {
 		if rec != nil {
-			defer rec.StartSpan("engine.worker_busy").End()
+			defer rec.StartSpan("engine.worker_busy_ns").End()
 			rec.Histogram("engine.tasks_per_worker").Observe(int64(n))
 		}
 		for i := 0; i < n; i++ {
@@ -141,7 +141,7 @@ func ForEach(workers, n int, fn func(i int) error) error {
 			if rec != nil {
 				start = time.Now()
 				defer func() {
-					rec.Timer("engine.worker_busy").Record(time.Since(start))
+					rec.Histogram("engine.worker_busy_ns").Observe(time.Since(start).Nanoseconds())
 					rec.Histogram("engine.tasks_per_worker").Observe(tasks)
 				}()
 			}

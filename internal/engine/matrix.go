@@ -34,7 +34,7 @@ func NewFailureMatrix(src Source, assetIDs []string) (*FailureMatrix, error) {
 		return nil, errors.New("engine: no assets")
 	}
 	rec := obs.Default()
-	defer rec.StartSpan("engine.matrix_compile").End()
+	defer rec.StartSpan("engine.matrix_compile_ns").End()
 	m := &FailureMatrix{
 		ids:    append([]string(nil), assetIDs...),
 		col:    make(map[string]int, len(assetIDs)),

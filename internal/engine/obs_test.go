@@ -100,14 +100,8 @@ func TestMatrixCompileMetrics(t *testing.T) {
 		t.Errorf("matrix_cells = %d, want 480", got)
 	}
 	rep := rec.Report("test", nil)
-	found := false
-	for _, p := range rep.Phases {
-		if p.Name == "engine.matrix_compile" && p.Count == 1 && p.TotalNS > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("no engine.matrix_compile phase in report: %+v", rep.Phases)
+	if h := rep.Histogram["engine.matrix_compile_ns"]; h.Count != 1 || h.Sum <= 0 {
+		t.Errorf("engine.matrix_compile_ns in report = %+v, want one positive duration", h)
 	}
 }
 
@@ -139,7 +133,7 @@ func TestForEachMetrics(t *testing.T) {
 		if h.Sum() != n {
 			t.Errorf("workers=%d: tasks_per_worker sum = %d, want %d", workers, h.Sum(), n)
 		}
-		if busy := rec.Timer("engine.worker_busy"); busy.Count() != int64(workers) {
+		if busy := rec.Histogram("engine.worker_busy_ns"); busy.Count() != int64(workers) {
 			t.Errorf("workers=%d: worker_busy count = %d", workers, busy.Count())
 		}
 	}

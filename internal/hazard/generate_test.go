@@ -117,7 +117,7 @@ func TestGenerateErrorNoDeadlock(t *testing.T) {
 }
 
 // TestGenerateObsInstruments checks the generation counters and
-// per-phase timers land in the run report recorder.
+// per-phase histograms land in the run report recorder.
 func TestGenerateObsInstruments(t *testing.T) {
 	rec := obs.New()
 	obs.Enable(rec)
@@ -143,16 +143,16 @@ func TestGenerateObsInstruments(t *testing.T) {
 		t.Errorf("surge.setup_memo_hits = %d, want > 0", got)
 	}
 	for _, phase := range []string{
-		"hazard.generate.track",
-		"hazard.generate.setup",
-		"hazard.generate.zones",
+		"hazard.generate.track_ns",
+		"hazard.generate.setup_ns",
+		"hazard.generate.zones_ns",
 	} {
-		if got := rec.Timer(phase).Count(); got != n {
+		if got := rec.Histogram(phase).Count(); got != n {
 			t.Errorf("%s recorded %d phases, want %d", phase, got, n)
 		}
 	}
-	if got := rec.Timer("hazard.generate.bitplane").Count(); got != 1 {
-		t.Errorf("hazard.generate.bitplane recorded %d, want 1", got)
+	if got := rec.Histogram("hazard.generate.bitplane_ns").Count(); got != 1 {
+		t.Errorf("hazard.generate.bitplane_ns recorded %d, want 1", got)
 	}
 }
 

@@ -440,9 +440,9 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 
 	rec := obs.Default()
 	realCtr := rec.Counter("hazard.realizations")
-	trackT := rec.Timer("hazard.generate.track")
-	setupT := rec.Timer("hazard.generate.setup")
-	zonesT := rec.Timer("hazard.generate.zones")
+	trackH := rec.Histogram("hazard.generate.track_ns")
+	setupH := rec.Histogram("hazard.generate.setup_ns")
+	zonesH := rec.Histogram("hazard.generate.zones_ns")
 	timed := rec != nil
 	var prog atomic.Int64
 
@@ -464,7 +464,7 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 			}
 			if timed {
 				t1 := time.Now()
-				trackT.Record(t1.Sub(t0))
+				trackH.Observe(t1.Sub(t0).Nanoseconds())
 				t0 = t1
 			}
 			if err := p.be.PeakAverages(&tr, &sc, peaks); err != nil {
@@ -472,7 +472,7 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 			}
 			if timed {
 				t1 := time.Now()
-				setupT.Record(t1.Sub(t0))
+				setupH.Observe(t1.Sub(t0).Nanoseconds())
 				t0 = t1
 			}
 			row := e.depths[r]
@@ -484,7 +484,7 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 				row[i] = depth
 			}
 			if timed {
-				zonesT.Record(time.Since(t0))
+				zonesH.Observe(time.Since(t0).Nanoseconds())
 			}
 			realCtr.Inc()
 			if cfg.Progress != nil {
@@ -496,7 +496,7 @@ func (g *Generator) GenerateCtx(ctx context.Context, cfg EnsembleConfig) (*Ensem
 	if err != nil {
 		return nil, err
 	}
-	sp := rec.StartSpan("hazard.generate.bitplane")
+	sp := rec.StartSpan("hazard.generate.bitplane_ns")
 	e.buildFailureColumns()
 	sp.End()
 	return e, nil

@@ -7,10 +7,7 @@ package obs
 // allocation-free once instruments are resolved — the run report is
 // built from atomics, never from per-event allocations.
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // BenchmarkNoopCounter measures Counter.Add on a nil counter.
 func BenchmarkNoopCounter(b *testing.B) {
@@ -30,7 +27,7 @@ func BenchmarkNoopSpan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("phase").End()
+		r.StartSpan("phase_ns").End()
 	}
 }
 
@@ -68,24 +65,13 @@ func BenchmarkEnabledHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkEnabledSpan measures a full live span: one timer lookup,
-// two monotonic clock reads, one record.
+// BenchmarkEnabledSpan measures a full live span: one locked histogram
+// lookup, two monotonic clock reads, one observation.
 func BenchmarkEnabledSpan(b *testing.B) {
 	r := New()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.StartSpan("phase").End()
-	}
-}
-
-// BenchmarkEnabledTimer measures Timer.Record alone.
-func BenchmarkEnabledTimer(b *testing.B) {
-	r := New()
-	t := r.Timer("t")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t.Record(time.Microsecond)
+		r.StartSpan("phase_ns").End()
 	}
 }

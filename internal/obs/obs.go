@@ -1,19 +1,21 @@
 // Package obs is the zero-dependency observability layer of the
-// analysis pipeline: atomic counters, monotonic timers with a span API
-// for phase timing, and power-of-two histograms, aggregated by a
-// Recorder that renders one machine-readable JSON run report. On top
-// of the aggregates it offers request-scoped tracing (trace.go),
-// Prometheus text exposition of every instrument (prom.go), and a
-// background runtime sampler feeding gauges (runtime.go).
+// analysis pipeline. It has three instrument kinds — atomic counters,
+// gauges, and power-of-two histograms — aggregated by a Recorder that
+// renders one machine-readable JSON run report. Durations are
+// histograms of nanoseconds, and their names end in "_ns"; a span API
+// times phases into them. On top of the aggregates it offers
+// request-scoped tracing (trace.go), Prometheus text exposition of
+// every instrument (prom.go), and a background runtime sampler
+// feeding gauges (runtime.go).
 //
 // Instrumentation is opt-in and allocation-free when disabled. The
 // package-level Default recorder is nil until a CLI (or test) calls
-// Enable; every method on a nil *Recorder, *Counter, *Timer,
-// *Histogram, or zero Span is a safe no-op, so hot paths resolve their
-// instruments once at construction time and pay a single nil-check
-// branch per event when observability is off. When it is on, events
-// cost one atomic add (counters/histograms) or one monotonic clock
-// read (spans) — no locks and no allocations on the recording paths.
+// Enable; every method on a nil *Recorder, *Counter, *Gauge,
+// *Histogram, or zero Span is a safe no-op, so instrumented code pays
+// a single nil-check branch per event when observability is off. When
+// it is on, a resolved instrument records with atomics and no locks;
+// StartSpan resolves its histogram by name (one locked map lookup) and
+// reads the monotonic clock twice. No recording path allocates.
 package obs
 
 import (
@@ -44,7 +46,7 @@ func Default() *Recorder {
 }
 
 // Recorder aggregates named instruments and renders them as a run
-// report. Instrument resolution (Counter, Timer, Histogram) takes a
+// report. Instrument resolution (Counter, Gauge, Histogram) takes a
 // lock and is meant for construction-time code; the returned
 // instruments record lock-free. A nil *Recorder resolves nil
 // instruments, whose methods all no-op.
@@ -54,7 +56,6 @@ type Recorder struct {
 
 	mu       sync.Mutex
 	counters map[string]*Counter
-	timers   map[string]*Timer
 	hists    map[string]*Histogram
 	gauges   map[string]*Gauge
 	results  map[string]any
@@ -70,7 +71,6 @@ func newRecorder(now func() time.Time) *Recorder {
 		start:    now(),
 		now:      now,
 		counters: make(map[string]*Counter),
-		timers:   make(map[string]*Timer),
 		hists:    make(map[string]*Histogram),
 		gauges:   make(map[string]*Gauge),
 		results:  make(map[string]any),
@@ -91,22 +91,6 @@ func (r *Recorder) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Timer resolves (creating on first use) the named timer. Returns nil
-// on a nil recorder.
-func (r *Recorder) Timer(name string) *Timer {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = newTimer()
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram resolves (creating on first use) the named histogram.
@@ -153,31 +137,32 @@ func (r *Recorder) Put(key string, v any) {
 	r.results[key] = v
 }
 
-// StartSpan starts timing one occurrence of the named phase; call End
-// on the returned span to record it. On a nil recorder it returns a
-// zero Span whose End is a no-op and performs no clock read.
+// StartSpan starts timing one occurrence of the named phase into the
+// histogram of that name (which, like every duration, ends in "_ns");
+// call End on the returned span to record it. On a nil recorder it
+// returns a zero Span whose End is a no-op and performs no clock read.
 func (r *Recorder) StartSpan(name string) Span {
 	if r == nil {
 		return Span{}
 	}
-	return Span{r: r, t: r.Timer(name), start: r.now()}
+	return Span{r: r, h: r.Histogram(name), start: r.now()}
 }
 
 // Span is one in-flight phase timing. The zero Span is valid and
 // records nothing.
 type Span struct {
 	r     *Recorder
-	t     *Timer
+	h     *Histogram
 	start time.Time
 }
 
-// End records the span's duration into its timer. Safe to call on a
+// End observes the span's duration in nanoseconds. Safe to call on a
 // zero Span.
 func (s Span) End() {
-	if s.t == nil {
+	if s.h == nil {
 		return
 	}
-	s.t.Record(s.r.now().Sub(s.start))
+	s.h.Observe(s.r.now().Sub(s.start).Nanoseconds())
 }
 
 // Counter is a monotonically increasing atomic counter. A nil *Counter
@@ -253,68 +238,6 @@ func (g *Gauge) High() int64 {
 		return 0
 	}
 	return g.high.Load()
-}
-
-// Timer accumulates phase durations: occurrence count, total, min, and
-// max, all maintained with atomics so concurrent workers may record
-// into one timer. A nil *Timer ignores all updates.
-type Timer struct {
-	count atomic.Int64
-	total atomic.Int64 // nanoseconds
-	min   atomic.Int64 // nanoseconds; MaxInt64 until first record
-	max   atomic.Int64 // nanoseconds
-}
-
-func newTimer() *Timer {
-	t := &Timer{}
-	t.min.Store(int64(1<<63 - 1))
-	return t
-}
-
-// Record adds one duration observation.
-func (t *Timer) Record(d time.Duration) {
-	if t == nil {
-		return
-	}
-	ns := d.Nanoseconds()
-	t.count.Add(1)
-	t.total.Add(ns)
-	atomicMin(&t.min, ns)
-	atomicMax(&t.max, ns)
-}
-
-// Count returns the number of recorded durations.
-func (t *Timer) Count() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.count.Load()
-}
-
-// Total returns the accumulated duration.
-func (t *Timer) Total() time.Duration {
-	if t == nil {
-		return 0
-	}
-	return time.Duration(t.total.Load())
-}
-
-// Min returns the shortest recorded duration, or 0 before the first
-// record (and on a nil timer).
-func (t *Timer) Min() time.Duration {
-	if t == nil || t.count.Load() == 0 {
-		return 0
-	}
-	return time.Duration(t.min.Load())
-}
-
-// Max returns the longest recorded duration, or 0 before the first
-// record (and on a nil timer).
-func (t *Timer) Max() time.Duration {
-	if t == nil || t.count.Load() == 0 {
-		return 0
-	}
-	return time.Duration(t.max.Load())
 }
 
 // histBuckets is the number of power-of-two histogram buckets: bucket

@@ -9,18 +9,18 @@ package obs
 //
 //   - Counter  c → c_total (TYPE counter)
 //   - Gauge    g → g and g_high (TYPE gauge; level + high-water mark)
-//   - Timer    t → t_ns summary (t_ns_sum, t_ns_count) plus t_ns_min /
-//     t_ns_max gauges (timers record nanoseconds)
 //   - Histogram h → h histogram: cumulative h_bucket{le="2^i"} for the
 //     power-of-two buckets, h_bucket{le="+Inf"}, h_sum, h_count. The
 //     last internal bucket absorbs arbitrarily large observations, so
-//     it renders only into +Inf.
+//     it renders only into +Inf. Durations are histograms whose names
+//     carry the unit ("serve.compile_ns" → serve_compile_ns).
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -45,10 +45,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	for n, g := range r.gauges {
 		gauges[n] = g
 	}
-	timers := make(map[string]*Timer, len(r.timers))
-	for n, t := range r.timers {
-		timers[n] = t
-	}
 	hists := make(map[string]*Histogram, len(r.hists))
 	for n, h := range r.hists {
 		hists[n] = h
@@ -65,14 +61,6 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		fmt.Fprintf(bw, "# TYPE %s gauge\n%s %d\n", pn, pn, g.Value())
 		fmt.Fprintf(bw, "# TYPE %s_high gauge\n%s_high %d\n", pn, pn, g.High())
 	}
-	for _, name := range sortedKeys(timers) {
-		t := timers[name]
-		pn := promName(name) + "_ns"
-		fmt.Fprintf(bw, "# TYPE %s summary\n", pn)
-		fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", pn, t.Total().Nanoseconds(), pn, t.Count())
-		fmt.Fprintf(bw, "# TYPE %s_min gauge\n%s_min %d\n", pn, pn, t.Min().Nanoseconds())
-		fmt.Fprintf(bw, "# TYPE %s_max gauge\n%s_max %d\n", pn, pn, t.Max().Nanoseconds())
-	}
 	for _, name := range sortedKeys(hists) {
 		writePromHistogram(bw, promName(name), hists[name])
 	}
@@ -84,9 +72,13 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 // v < 2^i, so the cumulative count through bucket i is exact at
 // le="2^i"; bucket 0 (non-positive observations) renders at le="0".
 // Only buckets that change the cumulative count are emitted — sparse
-// bucket lists are valid exposition.
-func writePromHistogram(w io.Writer, pn string, h *Histogram) {
-	fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
+// bucket lists are valid exposition. Every duration is a histogram, so
+// this is the bulk of a scrape: it writes strings and integers
+// directly rather than through fmt.
+func writePromHistogram(w *bufio.Writer, pn string, h *Histogram) {
+	w.WriteString("# TYPE ")
+	w.WriteString(pn)
+	w.WriteString(" histogram\n")
 	var cum int64
 	for i := 0; i < histBuckets-1; i++ {
 		n := h.buckets[i].Load()
@@ -94,16 +86,33 @@ func writePromHistogram(w io.Writer, pn string, h *Histogram) {
 			continue
 		}
 		cum += n
-		if i == 0 {
-			fmt.Fprintf(w, "%s_bucket{le=\"0\"} %d\n", pn, cum)
-		} else {
-			fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", pn, int64(1)<<uint(i), cum)
-		}
+		writeSample(w, pn, bucketSuffix[i], cum)
 	}
 	// The last internal bucket has no finite upper bound; it (and any
 	// racing concurrent observations) folds into +Inf via Count.
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count())
-	fmt.Fprintf(w, "%s_sum %d\n%s_count %d\n", pn, h.Sum(), pn, h.Count())
+	writeSample(w, pn, `_bucket{le="+Inf"}`, h.Count())
+	writeSample(w, pn, "_sum", h.Sum())
+	writeSample(w, pn, "_count", h.Count())
+}
+
+// bucketSuffix[i] is the series suffix of finite bucket i:
+// _bucket{le="0"} for bucket 0, _bucket{le="2^i"} after it.
+var bucketSuffix = func() (s [histBuckets - 1]string) {
+	s[0] = `_bucket{le="0"}`
+	for i := 1; i < len(s); i++ {
+		s[i] = fmt.Sprintf(`_bucket{le="%d"}`, int64(1)<<uint(i))
+	}
+	return s
+}()
+
+// writeSample writes one "<pn><suffix> <v>" sample line.
+func writeSample(w *bufio.Writer, pn, suffix string, v int64) {
+	w.WriteString(pn)
+	w.WriteString(suffix)
+	w.WriteByte(' ')
+	var num [20]byte
+	w.Write(strconv.AppendInt(num[:0], v, 10))
+	w.WriteByte('\n')
 }
 
 // promName sanitizes an instrument name ("serve.latency_ns.sweep")

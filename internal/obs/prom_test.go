@@ -35,9 +35,9 @@ func TestWritePrometheus(t *testing.T) {
 	g := r.Gauge("serve.inflight")
 	g.Set(5)
 	g.Set(2)
-	tm := r.Timer("engine.evaluate")
-	tm.Record(3 * time.Millisecond)
-	tm.Record(5 * time.Millisecond)
+	d := r.Histogram("engine.evaluate_ns")
+	d.Observe((3 * time.Millisecond).Nanoseconds())
+	d.Observe((5 * time.Millisecond).Nanoseconds())
 	h := r.Histogram("serve.latency_ns.sweep")
 	for _, v := range []int64{1, 3, 3, 1000} {
 		h.Observe(v)
@@ -54,17 +54,21 @@ func TestWritePrometheus(t *testing.T) {
 	if v, _ := m.Get("serve_inflight_high"); v != 5 {
 		t.Fatalf("gauge high-water = %v, want 5", v)
 	}
+	// A duration renders under its own name as one histogram: _sum and
+	// _count, no summary and no min/max gauges.
+	if typ := m.Types["engine_evaluate_ns"]; typ != "histogram" {
+		t.Fatalf("duration family TYPE = %q, want histogram", typ)
+	}
 	if v, _ := m.Get("engine_evaluate_ns_count"); v != 2 {
-		t.Fatalf("timer count = %v, want 2", v)
+		t.Fatalf("duration count = %v, want 2", v)
 	}
 	if v, _ := m.Get("engine_evaluate_ns_sum"); v != float64((8 * time.Millisecond).Nanoseconds()) {
-		t.Fatalf("timer sum = %v", v)
+		t.Fatalf("duration sum = %v", v)
 	}
-	if v, _ := m.Get("engine_evaluate_ns_min"); v != float64((3 * time.Millisecond).Nanoseconds()) {
-		t.Fatalf("timer min = %v", v)
-	}
-	if v, _ := m.Get("engine_evaluate_ns_max"); v != float64((5 * time.Millisecond).Nanoseconds()) {
-		t.Fatalf("timer max = %v", v)
+	for _, suffix := range []string{"_min", "_max"} {
+		if _, ok := m.Get("engine_evaluate_ns" + suffix); ok {
+			t.Fatalf("engine_evaluate_ns%s still exposed", suffix)
+		}
 	}
 
 	// Power-of-two buckets: 1 lands in [1,2), 3 twice in [2,4), 1000 in

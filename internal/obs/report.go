@@ -5,28 +5,27 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"time"
 )
 
 // ReportSchema identifies the run-report JSON layout. Bump the suffix
 // on incompatible changes; the golden test pins the current layout.
-const ReportSchema = "compoundthreat/run-report/v1"
+const ReportSchema = "compoundthreat/run-report/v2"
 
-// Report is the machine-readable snapshot of a recorder: per-phase
-// wall times, counters, histograms, and any structured results the run
-// attached (e.g. per-figure state tallies).
+// Report is the machine-readable snapshot of a recorder: counters,
+// histograms (phase wall times among them, as "*_ns" histograms), and
+// any structured results the run attached (e.g. per-figure state
+// tallies).
 type Report struct {
 	Schema    string                `json:"schema"`
 	Command   string                `json:"command,omitempty"`
 	Args      []string              `json:"args,omitempty"`
 	StartedAt time.Time             `json:"started_at"`
 	WallNS    int64                 `json:"wall_ns"`
-	Phases    []PhaseReport         `json:"phases"`
 	Counters  map[string]int64      `json:"counters"`
 	Histogram map[string]HistReport `json:"histograms"`
 	// Gauges is present only when the run resolved at least one gauge,
-	// so runs without gauges keep rendering the exact v1 layout.
+	// so runs without gauges keep rendering the exact golden layout.
 	Gauges  map[string]GaugeReport `json:"gauges,omitempty"`
 	Dedup   *DedupReport           `json:"dedup,omitempty"`
 	Results map[string]any         `json:"results,omitempty"`
@@ -51,15 +50,6 @@ type DedupReport struct {
 	DistinctRows   int64   `json:"distinct_rows"`
 	Ratio          float64 `json:"ratio"`
 	CompressWallNS int64   `json:"compress_wall_ns"`
-}
-
-// PhaseReport is one timer rendered for the report.
-type PhaseReport struct {
-	Name    string `json:"name"`
-	Count   int64  `json:"count"`
-	TotalNS int64  `json:"total_ns"`
-	MinNS   int64  `json:"min_ns"`
-	MaxNS   int64  `json:"max_ns"`
 }
 
 // HistReport is one histogram rendered for the report. Buckets lists
@@ -89,7 +79,6 @@ func (r *Recorder) Report(command string, args []string) Report {
 		Schema:    ReportSchema,
 		Command:   command,
 		Args:      args,
-		Phases:    []PhaseReport{},
 		Counters:  map[string]int64{},
 		Histogram: map[string]HistReport{},
 	}
@@ -100,20 +89,6 @@ func (r *Recorder) Report(command string, args []string) Report {
 	defer r.mu.Unlock()
 	rep.StartedAt = r.start
 	rep.WallNS = r.now().Sub(r.start).Nanoseconds()
-	for name, t := range r.timers {
-		p := PhaseReport{
-			Name:    name,
-			Count:   t.count.Load(),
-			TotalNS: t.total.Load(),
-			MinNS:   t.min.Load(),
-			MaxNS:   t.max.Load(),
-		}
-		if p.Count == 0 {
-			p.MinNS, p.MaxNS = 0, 0
-		}
-		rep.Phases = append(rep.Phases, p)
-	}
-	sort.Slice(rep.Phases, func(i, j int) bool { return rep.Phases[i].Name < rep.Phases[j].Name })
 	for name, c := range r.counters {
 		rep.Counters[name] = c.n.Load()
 	}
@@ -141,17 +116,12 @@ func (r *Recorder) Report(command string, args []string) Report {
 		rep.Histogram[name] = hr
 	}
 	if in := rep.Counters["engine.dedup_input_rows"]; in > 0 {
-		d := &DedupReport{
-			InputRows:    in,
-			DistinctRows: rep.Counters["engine.distinct_patterns"],
-			Ratio:        float64(rep.Counters["engine.distinct_patterns"]) / float64(in),
+		rep.Dedup = &DedupReport{
+			InputRows:      in,
+			DistinctRows:   rep.Counters["engine.distinct_patterns"],
+			Ratio:          float64(rep.Counters["engine.distinct_patterns"]) / float64(in),
+			CompressWallNS: rep.Histogram["engine.compress_ns"].Sum,
 		}
-		for _, p := range rep.Phases {
-			if p.Name == "engine.compress" {
-				d.CompressWallNS = p.TotalNS
-			}
-		}
-		rep.Dedup = d
 	}
 	if len(r.results) > 0 {
 		rep.Results = make(map[string]any, len(r.results))

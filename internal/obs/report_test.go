@@ -32,7 +32,7 @@ func TestReportGolden(t *testing.T) {
 
 	r.Counter("engine.memo_hits").Add(995)
 	r.Counter("engine.memo_misses").Add(5)
-	sp := r.StartSpan("analysis.run_configs") // reads clock twice: start + end
+	sp := r.StartSpan("analysis.run_configs_ns") // reads clock twice: start + end
 	sp.End()
 	h := r.Histogram("engine.tasks_per_worker")
 	h.Observe(3)
@@ -47,7 +47,7 @@ func TestReportGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	const golden = `{
-  "schema": "compoundthreat/run-report/v1",
+  "schema": "compoundthreat/run-report/v2",
   "command": "compoundsim",
   "args": [
     "-fig",
@@ -55,20 +55,23 @@ func TestReportGolden(t *testing.T) {
   ],
   "started_at": "2026-01-02T03:04:05Z",
   "wall_ns": 750000000,
-  "phases": [
-    {
-      "name": "analysis.run_configs",
-      "count": 1,
-      "total_ns": 250000000,
-      "min_ns": 250000000,
-      "max_ns": 250000000
-    }
-  ],
   "counters": {
     "engine.memo_hits": 995,
     "engine.memo_misses": 5
   },
   "histograms": {
+    "analysis.run_configs_ns": {
+      "count": 1,
+      "sum": 250000000,
+      "min": 250000000,
+      "max": 250000000,
+      "buckets": [
+        {
+          "lt": 268435456,
+          "count": 1
+        }
+      ]
+    },
     "engine.tasks_per_worker": {
       "count": 3,
       "sum": 908,
@@ -112,7 +115,7 @@ func TestReportGolden(t *testing.T) {
 // TestReportDedupBlock: a run that recorded the engine dedup counters
 // gets the derived dedup block — input rows, distinct rows, their
 // ratio, and the compression phase's wall time — while runs without
-// them omit it (keeping schema v1, as the golden test proves).
+// them omit it (as the golden test proves).
 func TestReportDedupBlock(t *testing.T) {
 	clock := &fakeClock{
 		t:    time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC),
@@ -121,7 +124,7 @@ func TestReportDedupBlock(t *testing.T) {
 	r := newRecorder(clock.now)
 	r.Counter("engine.dedup_input_rows").Add(1000)
 	r.Counter("engine.distinct_patterns").Add(40)
-	r.StartSpan("engine.compress").End() // one clock step = 1ms
+	r.StartSpan("engine.compress_ns").End() // one clock step = 1ms
 	rep := r.Report("compoundsim", nil)
 	d := rep.Dedup
 	if d == nil {
@@ -138,18 +141,19 @@ func TestReportDedupBlock(t *testing.T) {
 	}
 }
 
-// TestReportEmptyTimer checks that a resolved-but-never-recorded timer
-// reports zero min/max instead of the MaxInt64 sentinel.
-func TestReportEmptyTimer(t *testing.T) {
+// TestReportEmptyHistogram checks that a resolved-but-never-observed
+// histogram reports zero min/max instead of the MaxInt64/MinInt64
+// sentinels, and no buckets.
+func TestReportEmptyHistogram(t *testing.T) {
 	r := New()
-	r.Timer("never")
+	r.Histogram("never_ns")
 	rep := r.Report("x", nil)
-	if len(rep.Phases) != 1 {
-		t.Fatalf("phases = %d, want 1", len(rep.Phases))
+	if len(rep.Histogram) != 1 {
+		t.Fatalf("histograms = %d, want 1", len(rep.Histogram))
 	}
-	p := rep.Phases[0]
-	if p.Count != 0 || p.MinNS != 0 || p.MaxNS != 0 || p.TotalNS != 0 {
-		t.Fatalf("empty timer report = %+v, want zeros", p)
+	h, ok := rep.Histogram["never_ns"]
+	if !ok || h.Count != 0 || h.Sum != 0 || h.Min != 0 || h.Max != 0 || h.Buckets != nil {
+		t.Fatalf("empty histogram report = %+v (present=%v), want zeros", h, ok)
 	}
 }
 

@@ -3,31 +3,11 @@ package obs
 import (
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestTimerMinMax covers the accessor edge cases: empty timer reads
-// zero (the internal min sentinel must not leak), then tracks real
-// extremes.
-func TestTimerMinMax(t *testing.T) {
-	tm := New().Timer("t")
-	if tm.Min() != 0 || tm.Max() != 0 {
-		t.Fatalf("empty timer min/max = %v/%v, want 0/0", tm.Min(), tm.Max())
-	}
-	tm.Record(5 * time.Millisecond)
-	tm.Record(2 * time.Millisecond)
-	tm.Record(9 * time.Millisecond)
-	if tm.Min() != 2*time.Millisecond || tm.Max() != 9*time.Millisecond {
-		t.Fatalf("min/max = %v/%v, want 2ms/9ms", tm.Min(), tm.Max())
-	}
-	var nilT *Timer
-	if nilT.Min() != 0 || nilT.Max() != 0 {
-		t.Fatal("nil timer min/max must be 0")
-	}
-}
-
-// TestHistogramMinMax mirrors the timer accessor checks, including
-// negative observations (the max sentinel must not leak either).
+// TestHistogramMinMax covers the accessor edge cases: an empty
+// histogram reads zero (neither internal sentinel may leak, including
+// on negative observations), then tracks real extremes.
 func TestHistogramMinMax(t *testing.T) {
 	h := New().Histogram("h")
 	if h.Min() != 0 || h.Max() != 0 {
@@ -117,7 +97,6 @@ func TestRecorderConcurrentResolution(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup
 	counters := make([]*Counter, workers)
-	timers := make([]*Timer, workers)
 	hists := make([]*Histogram, workers)
 	gauges := make([]*Gauge, workers)
 	for w := 0; w < workers; w++ {
@@ -127,7 +106,6 @@ func TestRecorderConcurrentResolution(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
 				counters[w] = r.Counter("shared.counter")
-				timers[w] = r.Timer("shared.timer")
 				hists[w] = r.Histogram("shared.hist")
 				gauges[w] = r.Gauge("shared.gauge")
 				counters[w].Inc()
@@ -136,7 +114,7 @@ func TestRecorderConcurrentResolution(t *testing.T) {
 	}
 	wg.Wait()
 	for w := 1; w < workers; w++ {
-		if counters[w] != counters[0] || timers[w] != timers[0] ||
+		if counters[w] != counters[0] ||
 			hists[w] != hists[0] || gauges[w] != gauges[0] {
 			t.Fatalf("goroutine %d resolved different instruments for the same names", w)
 		}

@@ -236,7 +236,7 @@ func SearchKCtx(ctx context.Context, req KRequest) (*KResult, error) {
 		return nil, err
 	}
 	rec := obs.Default()
-	defer rec.StartSpan("placement.ksearch").End()
+	defer rec.StartSpan("placement.ksearch_ns").End()
 	root := obs.SpanFromContext(ctx)
 	s := &kSearcher{
 		req:       req,
@@ -244,31 +244,32 @@ func SearchKCtx(ctx context.Context, req KRequest) (*KResult, error) {
 		prunedC:   rec.Counter("placement.bound_pruned"),
 	}
 
-	if err := phase(ctx, root, rec, "enumerate", s.enumerate); err != nil {
+	if err := phase(ctx, root, rec, "enumerate", "placement.ksearch.enumerate_ns", s.enumerate); err != nil {
 		return nil, err
 	}
-	if err := phase(ctx, root, rec, "bound", s.buildTables); err != nil {
+	if err := phase(ctx, root, rec, "bound", "placement.ksearch.bound_ns", s.buildTables); err != nil {
 		return nil, err
 	}
-	if err := phase(ctx, root, rec, "evaluate", s.evaluate); err != nil {
+	if err := phase(ctx, root, rec, "evaluate", "placement.ksearch.evaluate_ns", s.evaluate); err != nil {
 		return nil, err
 	}
 	var res *KResult
-	err := phase(ctx, root, rec, "rank", func(context.Context) error {
+	err := phase(ctx, root, rec, "rank", "placement.ksearch.rank_ns", func(context.Context) error {
 		res = s.rank()
 		return nil
 	})
 	return res, err
 }
 
-// phase runs one search phase under its trace and recorder spans,
+// phase runs one search phase under its trace span (name) and its
+// recorder span (metric, a literal so the name costs no allocation),
 // checking cancellation on entry.
-func phase(ctx context.Context, root *obs.TraceSpan, rec *obs.Recorder, name string, fn func(context.Context) error) error {
+func phase(ctx context.Context, root *obs.TraceSpan, rec *obs.Recorder, name, metric string, fn func(context.Context) error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("placement: search canceled: %w", err)
 	}
 	sp := root.StartChild(name)
-	rsp := rec.StartSpan("placement.ksearch." + name)
+	rsp := rec.StartSpan(metric)
 	err := fn(ctx)
 	rsp.End()
 	sp.End()

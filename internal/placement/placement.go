@@ -220,7 +220,7 @@ func search(req Request, placements []topology.Placement) ([]Candidate, error) {
 	if len(placements) == 0 {
 		return nil, errors.New("placement: no candidate placements")
 	}
-	defer obs.Default().StartSpan("placement.search").End()
+	defer obs.Default().StartSpan("placement.search_ns").End()
 	obs.Default().Counter("placement.candidates").Add(int64(len(placements)))
 	// Build every configuration up front and collect the site-asset
 	// universe, so the ensemble is compiled exactly once.

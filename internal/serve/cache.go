@@ -175,10 +175,10 @@ func (c *viewCache) get(ctx context.Context, key string, compile func(context.Co
 
 // fill runs one compile and publishes the result. ctx carries the
 // initiating request's trace (never a deadline): the compile is
-// recorded both in the aggregate serve.compile timer and as a
+// recorded both in the aggregate serve.compile_ns histogram and as a
 // "compile" span of that trace.
 func (c *viewCache) fill(ctx context.Context, e *cacheEntry, compile func(context.Context) (*view, error)) {
-	sp := obs.Default().StartSpan("serve.compile")
+	sp := obs.Default().StartSpan("serve.compile_ns")
 	tsp := obs.SpanFromContext(ctx).StartChild("compile")
 	v, err := compile(obs.ContextWithSpan(ctx, tsp))
 	tsp.End()

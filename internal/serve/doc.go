@@ -9,7 +9,7 @@
 // Endpoints (see docs/API.md for schemas and examples):
 //
 //	GET  /v1/healthz      liveness + loaded-ensemble inventory
-//	GET  /v1/report       live compoundthreat/run-report/v1 snapshot
+//	GET  /v1/report       live compoundthreat/run-report/v2 snapshot
 //	GET  /v1/sweep        per-configuration state probabilities
 //	POST /v1/sweep        same, JSON request body
 //	GET  /v1/figure/{id}  paper figures 6-11, bit-identical to compoundsim

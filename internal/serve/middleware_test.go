@@ -77,9 +77,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, ok := m.Get("serve_cache_misses_total"); !ok || v < 1 {
 		t.Errorf("serve_cache_misses_total = %v, want >= 1", v)
 	}
-	// Timers render as summaries with min/max gauges.
-	if m.Types["serve_compile_ns"] != "summary" {
-		t.Errorf("serve_compile_ns type = %q, want summary", m.Types["serve_compile_ns"])
+	// Phase timings render as histograms under their own _ns names.
+	if m.Types["serve_compile_ns"] != "histogram" {
+		t.Errorf("serve_compile_ns type = %q, want histogram", m.Types["serve_compile_ns"])
+	}
+	for _, suffix := range []string{"_min", "_max"} {
+		if _, ok := m.Get("serve_compile_ns" + suffix); ok {
+			t.Errorf("serve_compile_ns%s gauge still exposed", suffix)
+		}
 	}
 }
 

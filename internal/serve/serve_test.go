@@ -303,8 +303,8 @@ func TestReportEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	if body["schema"] != "compoundthreat/run-report/v1" {
-		t.Errorf("schema = %v, want compoundthreat/run-report/v1", body["schema"])
+	if body["schema"] != "compoundthreat/run-report/v2" {
+		t.Errorf("schema = %v, want compoundthreat/run-report/v2", body["schema"])
 	}
 	counters := body["counters"].(map[string]any)
 	if counters["serve.requests.sweep"] != float64(1) {

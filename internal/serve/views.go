@@ -450,7 +450,7 @@ func (s *Server) Handoff(ctx context.Context, baseURL string, maxViews int) (Han
 	if maxViews > 0 && maxViews < len(snap) {
 		snap = snap[:maxViews]
 	}
-	sp := obs.Default().StartSpan("serve.handoff")
+	sp := obs.Default().StartSpan("serve.handoff_ns")
 	defer sp.End()
 	for _, kv := range snap {
 		var buf strings.Builder

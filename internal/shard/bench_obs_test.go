@@ -2,8 +2,8 @@ package shard
 
 // Benchmark for the fleet metrics federation path: one
 // GET /v1/metrics?fleet=1 scrape that fans out to two backends,
-// parses both expositions, merges every family (counters, gauges,
-// summaries, bucket-wise histograms), and renders the aggregated plus
+// parses both expositions, merges every family (counters, gauges, and
+// bucket-wise histograms), and renders the aggregated plus
 // per-backend-labeled exposition. Part of the "obs" benchcheck set,
 // gated against BENCH_10.json.
 
@@ -27,11 +27,11 @@ func benchWorkerMetrics(b *testing.B, seed int64) string {
 	for i, name := range []string{"sweep", "figure", "placement", "healthz", "metrics"} {
 		c := rec.Counter("serve.requests." + name)
 		h := rec.Histogram("serve.latency_ns." + name)
-		t := rec.Timer("serve.compile_ns." + name)
+		d := rec.Histogram("serve.compile_ns." + name)
 		for n := int64(0); n < 200; n++ {
 			c.Add(1)
 			h.Observe((seed + n*int64(i+1)) % (1 << 20))
-			t.Record(time.Duration(seed+n) * time.Microsecond)
+			d.Observe((time.Duration(seed+n) * time.Microsecond).Nanoseconds())
 		}
 	}
 	rec.Gauge("serve.inflight").Set(seed % 7)

@@ -7,21 +7,24 @@ package shard
 // (source "router"):
 //
 //   - counters and untyped samples sum across sources
-//   - gauges sum, except *_high / *_max take the max and *_min the
-//     min (a fleet-wide high-water mark or minimum, not a sum)
-//   - summaries sum _sum and _count
-//   - histograms merge bucket-wise: each source's cumulative counts
-//     become per-bucket deltas, deltas sum over the union of bounds,
-//     and the union re-cumulates. Every recorder buckets by powers of
-//     two, so the bounds align and the merge is exact — the fleet
-//     histogram is what one recorder observing all requests would
-//     have produced, not an approximation.
+//   - gauges sum, except *_high takes the max (a fleet-wide
+//     high-water mark, not a sum)
+//   - histograms (every latency and phase duration) merge bucket-wise:
+//     each source's cumulative counts become per-bucket deltas, deltas
+//     sum over the union of bounds, and the union re-cumulates. Every
+//     recorder buckets by powers of two, so the bounds align and the
+//     merge is exact — the fleet histogram is what one recorder
+//     observing all requests would have produced, not an
+//     approximation.
 //
 // Each family is emitted as one unlabeled aggregate series plus one
 // series per source labeled backend="router"|"0"|"1"|..., so a single
 // scrape graphs both the fleet total and the per-worker breakdown. A
 // backend that cannot be scraped (or whose exposition does not parse)
-// degrades to a "# fleet:" comment instead of failing the exposition.
+// degrades to a "# fleet:" comment instead of failing the exposition,
+// and so does a family the merge has no rule for (a summary from a
+// worker on an older build, say) or one whose sources disagree on its
+// type.
 
 import (
 	"bufio"
@@ -122,10 +125,10 @@ func (rt *Router) writeFleetMetrics(ctx context.Context, w http.ResponseWriter) 
 		switch typ := types[fam]; typ {
 		case "counter", "gauge", "untyped":
 			writeFleetScalar(bw, fam, typ, sources)
-		case "summary":
-			writeFleetSummary(bw, fam, sources)
 		case "histogram":
 			writeFleetHistogram(bw, fam, sources)
+		default:
+			fmt.Fprintf(bw, "# fleet: family %s has unsupported type %s; skipped\n", fam, typ)
 		}
 	}
 	return bw.Flush()
@@ -159,8 +162,8 @@ func fnum(v float64) string {
 }
 
 // writeFleetScalar merges one counter/gauge/untyped family. The
-// aggregate is a sum, except gauge high-water marks (*_high, *_max)
-// take the max and *_min the min.
+// aggregate is a sum, except gauge high-water marks (*_high) take the
+// max.
 func writeFleetScalar(w *bufio.Writer, fam, typ string, sources []fleetSource) {
 	type sv struct {
 		id string
@@ -177,12 +180,9 @@ func writeFleetScalar(w *bufio.Writer, fam, typ string, sources []fleetSource) {
 	}
 	agg := vals[0].v
 	for _, v := range vals[1:] {
-		switch {
-		case typ == "gauge" && (strings.HasSuffix(fam, "_high") || strings.HasSuffix(fam, "_max")):
+		if typ == "gauge" && strings.HasSuffix(fam, "_high") {
 			agg = math.Max(agg, v.v)
-		case typ == "gauge" && strings.HasSuffix(fam, "_min"):
-			agg = math.Min(agg, v.v)
-		default:
+		} else {
 			agg += v.v
 		}
 	}
@@ -190,36 +190,6 @@ func writeFleetScalar(w *bufio.Writer, fam, typ string, sources []fleetSource) {
 	fmt.Fprintf(w, "%s %s\n", fam, fnum(agg))
 	for _, v := range vals {
 		fmt.Fprintf(w, "%s{backend=%q} %s\n", fam, v.id, fnum(v.v))
-	}
-}
-
-// writeFleetSummary merges one summary family by summing _sum and
-// _count across sources.
-func writeFleetSummary(w *bufio.Writer, fam string, sources []fleetSource) {
-	type sv struct {
-		id         string
-		sum, count float64
-	}
-	var vals []sv
-	var aggSum, aggCount float64
-	for _, src := range sources {
-		s, okS := src.m.Get(fam + "_sum")
-		c, okC := src.m.Get(fam + "_count")
-		if !okS || !okC {
-			continue
-		}
-		vals = append(vals, sv{src.id, s, c})
-		aggSum += s
-		aggCount += c
-	}
-	if len(vals) == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# TYPE %s summary\n", fam)
-	fmt.Fprintf(w, "%s_sum %s\n%s_count %s\n", fam, fnum(aggSum), fam, fnum(aggCount))
-	for _, v := range vals {
-		fmt.Fprintf(w, "%s_sum{backend=%q} %s\n", fam, v.id, fnum(v.sum))
-		fmt.Fprintf(w, "%s_count{backend=%q} %s\n", fam, v.id, fnum(v.count))
 	}
 }
 

@@ -13,21 +13,22 @@ import (
 )
 
 // worker0Metrics / worker1Metrics are canned worker scrapes covering
-// every merge rule: counter sum, gauge sum vs high/min/max rules,
-// summary sum, and bucket-wise histogram merge over sparse bounds.
+// every merge rule: counter sum, gauge sum vs the high-water max, and
+// bucket-wise histogram merge over sparse bounds — a latency histogram
+// and a phase duration (serve_compile_ns: 10 and 50 ns on worker 0; 5,
+// 40 and 80 ns on worker 1).
 const worker0Metrics = `# TYPE serve_requests_sweep_total counter
 serve_requests_sweep_total 3
 # TYPE serve_inflight gauge
 serve_inflight 1
 # TYPE serve_inflight_high gauge
 serve_inflight_high 4
-# TYPE serve_compile_ns summary
-serve_compile_ns_sum 100
+# TYPE serve_compile_ns histogram
+serve_compile_ns_bucket{le="16"} 1
+serve_compile_ns_bucket{le="64"} 2
+serve_compile_ns_bucket{le="+Inf"} 2
+serve_compile_ns_sum 60
 serve_compile_ns_count 2
-# TYPE serve_compile_ns_min gauge
-serve_compile_ns_min 10
-# TYPE serve_compile_ns_max gauge
-serve_compile_ns_max 50
 # TYPE serve_latency_ns_sweep histogram
 serve_latency_ns_sweep_bucket{le="1024"} 2
 serve_latency_ns_sweep_bucket{le="+Inf"} 3
@@ -41,13 +42,13 @@ serve_requests_sweep_total 4
 serve_inflight 2
 # TYPE serve_inflight_high gauge
 serve_inflight_high 3
-# TYPE serve_compile_ns summary
-serve_compile_ns_sum 200
+# TYPE serve_compile_ns histogram
+serve_compile_ns_bucket{le="8"} 1
+serve_compile_ns_bucket{le="64"} 2
+serve_compile_ns_bucket{le="128"} 3
+serve_compile_ns_bucket{le="+Inf"} 3
+serve_compile_ns_sum 125
 serve_compile_ns_count 3
-# TYPE serve_compile_ns_min gauge
-serve_compile_ns_min 5
-# TYPE serve_compile_ns_max gauge
-serve_compile_ns_max 80
 # TYPE serve_latency_ns_sweep histogram
 serve_latency_ns_sweep_bucket{le="2048"} 1
 serve_latency_ns_sweep_bucket{le="+Inf"} 2
@@ -92,47 +93,46 @@ func TestRouterFleetMetricsMerge(t *testing.T) {
 		t.Errorf("backend 1 sweep counter = %v, want 4", v)
 	}
 
-	// Gauges: levels sum, high-water marks take max, minimums min.
+	// Gauges: levels sum, high-water marks take max.
 	if v, _ := m.Get("serve_inflight"); v != 3 {
 		t.Errorf("serve_inflight = %v, want 3", v)
 	}
 	if v, _ := m.Get("serve_inflight_high"); v != 4 {
 		t.Errorf("serve_inflight_high = %v, want max 4", v)
 	}
-	if v, _ := m.Get("serve_compile_ns_min"); v != 5 {
-		t.Errorf("serve_compile_ns_min = %v, want min 5", v)
-	}
-	if v, _ := m.Get("serve_compile_ns_max"); v != 80 {
-		t.Errorf("serve_compile_ns_max = %v, want max 80", v)
-	}
 
-	// Summary: _sum and _count both sum.
-	if v, _ := m.Get("serve_compile_ns_sum"); v != 300 {
-		t.Errorf("serve_compile_ns_sum = %v, want 300", v)
-	}
-	if v, _ := m.Get("serve_compile_ns_count"); v != 5 {
-		t.Errorf("serve_compile_ns_count = %v, want 5", v)
-	}
-
-	// Histogram: deltas merge over the union of bounds and re-cumulate.
-	buckets := seriesBuckets(m, "serve_latency_ns_sweep", "")
-	want := []struct {
+	// Histograms: deltas merge over the union of bounds and re-cumulate;
+	// _sum and _count sum.
+	type bucket struct {
 		le  string
 		cum float64
-	}{{"1024", 2}, {"2048", 3}, {"+Inf", 5}}
-	if len(buckets) != len(want) {
-		t.Fatalf("aggregate buckets = %v, want %v", buckets, want)
 	}
-	for i, b := range buckets {
-		if b.Labels["le"] != want[i].le || b.Value != want[i].cum {
-			t.Errorf("bucket %d = le=%s %v, want le=%s %v", i, b.Labels["le"], b.Value, want[i].le, want[i].cum)
+	for _, tc := range []struct {
+		fam        string
+		want       []bucket
+		sum, count float64
+	}{
+		{"serve_latency_ns_sweep", []bucket{{"1024", 2}, {"2048", 3}, {"+Inf", 5}}, 12000, 5},
+		{"serve_compile_ns", []bucket{{"8", 1}, {"16", 2}, {"64", 4}, {"128", 5}, {"+Inf", 5}}, 185, 5},
+	} {
+		if typ := m.Types[tc.fam]; typ != "histogram" {
+			t.Errorf("%s TYPE = %q, want histogram", tc.fam, typ)
 		}
-	}
-	if v, _ := m.Get("serve_latency_ns_sweep_sum"); v != 12000 {
-		t.Errorf("histogram sum = %v, want 12000", v)
-	}
-	if v, _ := m.Get("serve_latency_ns_sweep_count"); v != 5 {
-		t.Errorf("histogram count = %v, want 5", v)
+		buckets := seriesBuckets(m, tc.fam, "")
+		if len(buckets) != len(tc.want) {
+			t.Fatalf("%s aggregate buckets = %v, want %v", tc.fam, buckets, tc.want)
+		}
+		for i, b := range buckets {
+			if b.Labels["le"] != tc.want[i].le || b.Value != tc.want[i].cum {
+				t.Errorf("%s bucket %d = le=%s %v, want le=%s %v", tc.fam, i, b.Labels["le"], b.Value, tc.want[i].le, tc.want[i].cum)
+			}
+		}
+		if v, _ := m.Get(tc.fam + "_sum"); v != tc.sum {
+			t.Errorf("%s_sum = %v, want %v", tc.fam, v, tc.sum)
+		}
+		if v, _ := m.Get(tc.fam + "_count"); v != tc.count {
+			t.Errorf("%s_count = %v, want %v", tc.fam, v, tc.count)
+		}
 	}
 
 	// The router's own instruments federate as source "router".
@@ -141,29 +141,61 @@ func TestRouterFleetMetricsMerge(t *testing.T) {
 	}
 }
 
-// TestRouterFleetMetricsDegraded: an unscrapable backend becomes a
-// comment, and the rest of the fleet still merges.
+// olderWorkerMetrics is a scrape from a worker on a build that still
+// exposed phase timings as summaries, as during a rolling restart: one
+// family clashes with the fleet's histogram of the same name, and one
+// has a type the merge has no rule for.
+const olderWorkerMetrics = `# TYPE serve_requests_sweep_total counter
+serve_requests_sweep_total 5
+# TYPE serve_compile_ns summary
+serve_compile_ns_sum 70
+serve_compile_ns_count 1
+# TYPE serve_handoff_ns summary
+serve_handoff_ns_sum 9
+serve_handoff_ns_count 1
+`
+
+// TestRouterFleetMetricsDegraded: an unscrapable backend, a family
+// whose type clashes across sources, and a family of a type the merge
+// does not handle each become a comment, and the rest of the fleet
+// still merges.
 func TestRouterFleetMetricsDegraded(t *testing.T) {
 	a := newFakeWorker(t, 0)
 	a.metricsText = worker0Metrics
 	b := newFakeWorker(t, 1)
 	b.metricsText = "bogus exposition without a TYPE line\n"
-	rt := newTestRouter(t, Options{}, a, b)
+	c := newFakeWorker(t, 2)
+	c.metricsText = olderWorkerMetrics
+	rt := newTestRouter(t, Options{}, a, b, c)
 
 	w := do(t, rt, http.MethodGet, "/v1/metrics?fleet=1", "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("fleet scrape = %d", w.Code)
 	}
 	body := w.Body.String()
-	if !strings.Contains(body, "# fleet: backend 1") {
-		t.Errorf("no degradation comment for backend 1:\n%s", body)
+	for _, comment := range []string{
+		"# fleet: backend 1",
+		"# fleet: family serve_compile_ns has conflicting types across sources; skipped",
+		"# fleet: family serve_handoff_ns has unsupported type summary; skipped",
+	} {
+		if !strings.Contains(body, comment) {
+			t.Errorf("no %q comment:\n%s", comment, body)
+		}
 	}
 	m, err := promtext.Parse(body)
 	if err != nil {
 		t.Fatalf("degraded exposition does not parse: %v", err)
 	}
-	if v, _ := m.Get("serve_requests_sweep_total"); v != 3 {
-		t.Errorf("aggregate from surviving worker = %v, want 3", v)
+	if err := m.Validate(); err != nil {
+		t.Fatalf("degraded exposition invalid: %v\n%s", err, body)
+	}
+	if v, _ := m.Get("serve_requests_sweep_total"); v != 8 {
+		t.Errorf("aggregate from surviving workers = %v, want 8", v)
+	}
+	for _, fam := range []string{"serve_compile_ns", "serve_handoff_ns"} {
+		if _, ok := m.Types[fam]; ok {
+			t.Errorf("skipped family %s still declared", fam)
+		}
 	}
 }
 

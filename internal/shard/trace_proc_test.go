@@ -183,4 +183,38 @@ func TestShardedFleetMetrics(t *testing.T) {
 			t.Errorf("%s never moved — the battery did not exercise it", fam)
 		}
 	}
+
+	// A phase duration federates like any latency histogram: at every
+	// bound, the fleet's cumulative count is the sum of what each
+	// worker's own scrape says at that bound.
+	if typ := fleet.Types["serve_compile_ns"]; typ != "histogram" {
+		t.Fatalf("serve_compile_ns TYPE = %q, want histogram", typ)
+	}
+	merged := seriesBuckets(fleet, "serve_compile_ns", "")
+	if len(merged) == 0 {
+		t.Fatal("serve_compile_ns has no fleet buckets")
+	}
+	for _, b := range merged {
+		bound := leBound(b.Labels["le"])
+		var want float64
+		for _, d := range direct {
+			want += cumulativeAt(d.Buckets("serve_compile_ns"), bound)
+		}
+		if b.Value != want {
+			t.Errorf("fleet serve_compile_ns_bucket{le=%q} = %v, want the workers' sum %v", b.Labels["le"], b.Value, want)
+		}
+	}
+}
+
+// cumulativeAt reads a cumulative bucket series (sorted by bound) at
+// bound: the count of its last bucket at or below it, 0 if none.
+func cumulativeAt(buckets []promtext.Sample, bound float64) float64 {
+	v := 0.0
+	for _, b := range buckets {
+		if leBound(b.Labels["le"]) > bound {
+			break
+		}
+		v = b.Value
+	}
+	return v
 }

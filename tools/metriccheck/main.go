@@ -1,8 +1,12 @@
 // Command metriccheck lints obs instrument registrations: every
-// Counter/Gauge/Timer/Histogram call with a literal name (or a literal
+// Counter/Gauge/Histogram call with a literal name (or a literal
 // concatenation prefix) is checked against the repo's naming
 // conventions, so a typo'd or colliding metric fails CI instead of
-// silently forking a family on the dashboards.
+// silently forking a family on the dashboards. A StartSpan call
+// registers the histogram its span times into, so span names are
+// checked as Histogram names. (Trace spans are opened with StartChild
+// in production code; Trace.StartSpan shares the method name, so a
+// literal passed to it would be linted too.)
 //
 // Rules:
 //
@@ -12,6 +16,8 @@
 //     counters itself, so a literal one would render as _total_total.
 //   - Concatenation prefixes ("serve.requests." + name) must end with
 //     a dot and be well-formed up to it.
+//   - Spans carry their unit: a full literal name passed to StartSpan
+//     must end in "_ns", as every duration histogram does.
 //   - One name, one kind: registering the same literal name as two
 //     different instrument kinds is an error — the exposition would
 //     emit conflicting TYPE lines for one family.
@@ -43,13 +49,13 @@ var (
 	prefixRe   = regexp.MustCompile(`^[a-z][a-z0-9]*(\.[a-z0-9_]+)*\.$`)
 )
 
-// instrumentKinds are the obs registration methods whose first
-// argument names a metric family.
-var instrumentKinds = map[string]bool{
-	"Counter":   true,
-	"Gauge":     true,
-	"Timer":     true,
-	"Histogram": true,
+// instrumentKinds maps the obs registration methods whose first
+// argument names a metric family to the instrument kind they register.
+var instrumentKinds = map[string]string{
+	"Counter":   "Counter",
+	"Gauge":     "Gauge",
+	"Histogram": "Histogram",
+	"StartSpan": "Histogram",
 }
 
 // registration remembers where a literal name was first registered and
@@ -88,7 +94,11 @@ func (c *checker) file(filename string, src any) error {
 			return true
 		}
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !instrumentKinds[sel.Sel.Name] {
+		if !ok {
+			return true
+		}
+		kind, ok := instrumentKinds[sel.Sel.Name]
+		if !ok {
 			return true
 		}
 		name, prefix, ok := literalName(call.Args[0])
@@ -108,7 +118,9 @@ func (c *checker) file(filename string, src any) error {
 		if strings.HasSuffix(name, "_total") {
 			c.errorf(call.Args[0].Pos(), "metric name %q must not end in _total: the Prometheus exposition appends _total to counters", name)
 		}
-		kind := sel.Sel.Name
+		if sel.Sel.Name == "StartSpan" && !strings.HasSuffix(name, "_ns") {
+			c.errorf(call.Args[0].Pos(), "span name %q must end in _ns: spans record nanosecond histograms", name)
+		}
 		if prev, dup := c.seen[name]; dup && prev.kind != kind {
 			c.errorf(call.Args[0].Pos(), "metric %q registered as %s here but as %s at %s — one name, one kind", name, kind, prev.kind, prev.pos)
 		} else if !dup {

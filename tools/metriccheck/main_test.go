@@ -21,12 +21,16 @@ func TestConformingRegistrationsPass(t *testing.T) {
 func f(rec R, name string) {
 	rec.Counter("serve.cache_hits")
 	rec.Gauge("serve.inflight")
-	rec.Timer("hazard.generate.track")
+	rec.Histogram("hazard.generate.track_ns")
+	rec.StartSpan("serve.compile_ns").End()
+	rec.StartSpan("engine.compress_ns")
+	rec.Histogram("engine.compress_ns") // a span's histogram, resolved directly
 	rec.Histogram("engine.tasks_per_worker")
 	rec.Counter("serve.requests." + name)
 	rec.Histogram("serve.latency_ns." + name + "." + name + "xx")
 	rec.Gauge("runtime.gc_pause_total_ns") // _total mid-name is fine
-	rec.Timer(name)                        // dynamic: not provable, not flagged
+	rec.Histogram(name)                    // dynamic: not provable, not flagged
+	rec.StartSpan(name)                    // likewise
 }`)
 	if len(issues) != 0 {
 		t.Fatalf("conforming registrations flagged: %v", issues)
@@ -43,6 +47,8 @@ func TestBadNamesFlagged(t *testing.T) {
 		{`func f(rec R) { rec.Counter("serve..hits") }`, "dotted lowercase"},
 		{`func f(rec R) { rec.Counter("serve.requests_total") }`, "_total"},
 		{`func f(rec R, n string) { rec.Counter("serve.requests" + n) }`, "ending in"},
+		{`func f(rec R) { rec.StartSpan("serve.compile").End() }`, "must end in _ns"},
+		{`func f(rec R) { rec.StartSpan("Serve.compile_ns") }`, "dotted lowercase"},
 	} {
 		issues := lint(t, tc.src)
 		if len(issues) != 1 || !strings.Contains(issues[0], tc.want) {
@@ -52,13 +58,19 @@ func TestBadNamesFlagged(t *testing.T) {
 }
 
 func TestKindConflictFlagged(t *testing.T) {
-	issues := lint(t, `
+	for _, src := range []string{`
 func f(rec R) {
 	rec.Counter("serve.cache_hits")
 	rec.Gauge("serve.cache_hits")
-}`)
-	if len(issues) != 1 || !strings.Contains(issues[0], "one name, one kind") {
-		t.Fatalf("kind conflict issues = %v", issues)
+}`, `
+func f(rec R) {
+	rec.Counter("serve.compile_ns")
+	rec.StartSpan("serve.compile_ns").End()
+}`} {
+		issues := lint(t, src)
+		if len(issues) != 1 || !strings.Contains(issues[0], "one name, one kind") {
+			t.Fatalf("kind conflict issues = %v", issues)
+		}
 	}
 	// Same name, same kind, is a legitimate re-registration.
 	if issues := lint(t, `
