@@ -1,9 +1,10 @@
 // Command threatrouter is the routing tier of a sharded threatserver
 // deployment: it consistent-hashes each query's compiled view onto a
-// fixed pool of threatserver workers, batches identical in-flight
-// reads, retries worker failures onto ring successors, and keeps async
-// placement job polls sticky to the worker that owns them (see
-// internal/shard and docs/API.md).
+// fixed pool of threatserver workers, answers repeated reads from a
+// bounded response memo keyed on ensemble content fingerprints,
+// coalesces identical in-flight misses, retries worker failures onto
+// ring successors, and keeps async placement job polls sticky to the
+// worker that owns them (see internal/shard and docs/API.md).
 //
 // Usage:
 //
@@ -22,8 +23,10 @@
 // prefer the workers advertising its fingerprint, and GET
 // /v1/topologies aggregates every worker's listing. Like the
 // workers it always runs with a live recorder, so GET /v1/metrics
-// exposes the batching split (shard.batch_leaders vs
-// shard.batch_joined), retry/hedge counts, and per-backend traffic;
+// exposes the memo's hits, admissions, evictions and stored bytes
+// (shard.memo_*), the split of misses into backend calls and joined
+// waiters (shard.batch_leaders vs shard.batch_joined), retry/hedge
+// counts, and per-backend traffic;
 // GET /v1/metrics?fleet=1 additionally scrapes every healthy worker
 // and merges the fleet into one exposition with per-backend labels;
 // -metrics additionally writes the JSON run report at exit.

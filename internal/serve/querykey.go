@@ -18,7 +18,6 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
@@ -196,16 +195,17 @@ func universeIdentity(universe []string) string {
 	return "u\x1f" + strings.Join(universe, "\x1f")
 }
 
-// BatchKey is the full response identity of a request: method, path,
-// canonicalized query, and body. Two requests with equal batch keys
-// are the same read and may share one backend response.
-func BatchKey(r *http.Request, body []byte) string {
+// ResponseKey is the full response identity of a read: method, path,
+// canonical query (q as the shape function parsed it), and body. Two
+// requests over the same ensemble content with equal response keys are
+// the same read and may share one answer.
+func ResponseKey(method, path string, q url.Values, body []byte) string {
 	var b strings.Builder
-	b.WriteString(r.Method)
+	b.WriteString(method)
 	b.WriteByte(' ')
-	b.WriteString(r.URL.Path)
+	b.WriteString(path)
 	b.WriteByte('?')
-	b.WriteString(r.URL.Query().Encode()) // Encode sorts by key
+	b.WriteString(q.Encode()) // Encode sorts by key
 	if len(body) > 0 {
 		b.WriteByte('\n')
 		b.Write(body)

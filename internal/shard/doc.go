@@ -12,10 +12,19 @@
 //
 // Three mechanisms ride on top of the ring:
 //
-//   - Batching: concurrent identical reads collapse into one backend
-//     call; waiters replay the leader's response byte-for-byte. The
-//     leaders/joined split is exported as shard.batch_leaders and
-//     shard.batch_joined.
+//   - The response memo: a repeated read is answered at the router from
+//     a 4 MiB LRU of finished answers, keyed on the ensemble's content
+//     fingerprint plus the full request, with no backend call. An
+//     answer is stored on its key's second fetch, only if it is a 200
+//     from a worker advertising the key's fingerprint. Concurrent
+//     identical misses collapse into one backend call whose waiters
+//     replay the leader's response byte-for-byte. A worker restarted
+//     with other content under the same name is seen at the next
+//     health probe; until then the memo, like routing, uses the old
+//     fingerprint. Hits, admissions, evictions and stored bytes are
+//     shard.memo_hits, shard.memo_admits, shard.memo_evictions and
+//     shard.memo_bytes; the misses' leaders/joined split is
+//     shard.batch_leaders and shard.batch_joined.
 //   - Retry and hedging: 2xx/4xx backend responses are deterministic
 //     verdicts returned as-is; 5xx and transport errors fail over to
 //     the next backend on the key's ring sequence. With a hedge delay

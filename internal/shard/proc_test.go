@@ -22,6 +22,7 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -280,8 +281,9 @@ func roundTrip(h http.Handler, method, url, body string) (int, []byte, string) {
 	return w.Code, w.Body.Bytes(), w.Header().Get("X-Shard-Backend")
 }
 
-// identityQueries is the read surface the bit-identity and kill tests
-// sweep: distinct universes so the keys spread across the ring.
+// identityQueries is the read surface the bit-identity test sweeps and
+// the benchmarks warm: distinct universes so the keys spread across the
+// ring.
 var identityQueries = []struct {
 	method, url, body string
 }{
@@ -298,7 +300,10 @@ var identityQueries = []struct {
 // TestShardedBitIdentity routes the full read surface through a
 // two-worker cluster and checks every response is byte-identical to
 // the single-process reference server, including an async placement
-// search polled to completion on both sides.
+// search polled to completion on both sides. The battery runs three
+// times: the first pass sights each read, the second stores it in the
+// router's memo, and the third must be answered from the memo alone,
+// byte-identical and tagged with the worker that produced it.
 func TestShardedBitIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process cluster tests in -short mode")
@@ -309,17 +314,31 @@ func TestShardedBitIdentity(t *testing.T) {
 	t.Cleanup(c.stopAll)
 	ref := referenceServer(t, realizations)
 
-	for _, q := range identityQueries {
-		wantCode, want, _ := roundTrip(ref.Handler(), q.method, q.url, q.body)
-		gotCode, got, backend := roundTrip(c.rt.Handler(), q.method, q.url, q.body)
-		if wantCode != http.StatusOK {
-			t.Fatalf("reference %s %s = %d: %s", q.method, q.url, wantCode, want)
+	owner := make([]string, len(identityQueries))
+	for pass := 1; pass <= 3; pass++ {
+		hits := c.rt.memo.hits.Value()
+		for i, q := range identityQueries {
+			wantCode, want, _ := roundTrip(ref.Handler(), q.method, q.url, q.body)
+			gotCode, got, backend := roundTrip(c.rt.Handler(), q.method, q.url, q.body)
+			if wantCode != http.StatusOK {
+				t.Fatalf("reference %s %s = %d: %s", q.method, q.url, wantCode, want)
+			}
+			if gotCode != wantCode {
+				t.Fatalf("pass %d: %s %s: router %d, reference %d: %s", pass, q.method, q.url, gotCode, wantCode, got)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("pass %d: %s %s differs (worker %s):\n got: %s\nwant: %s", pass, q.method, q.url, backend, got, want)
+			}
+			if pass == 1 {
+				owner[i] = backend
+			} else if backend != owner[i] {
+				t.Fatalf("pass %d: %s %s tagged backend %s, first pass %s", pass, q.method, q.url, backend, owner[i])
+			}
 		}
-		if gotCode != wantCode {
-			t.Fatalf("%s %s: router %d, reference %d: %s", q.method, q.url, gotCode, wantCode, got)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s %s differs (worker %s):\n got: %s\nwant: %s", q.method, q.url, backend, got, want)
+		if pass == 3 {
+			if got := c.rt.memo.hits.Value() - hits; got != int64(len(identityQueries)) {
+				t.Fatalf("third pass: %d memo hits, want all %d reads", got, len(identityQueries))
+			}
 		}
 	}
 
@@ -380,17 +399,21 @@ func TestShardedWorkerKill(t *testing.T) {
 	t.Cleanup(c.stopAll)
 	ref := referenceServer(t, realizations)
 
-	// Ground truth for every query in the battery.
-	want := make(map[string][]byte, len(identityQueries))
-	for _, q := range identityQueries {
-		code, body, _ := roundTrip(ref.Handler(), q.method, q.url, q.body)
-		if code != http.StatusOK {
-			t.Fatalf("reference %s %s = %d", q.method, q.url, code)
-		}
-		want[q.method+q.url] = body
+	// The load never repeats a read — each placement ranking's limit is
+	// its sequence number — so the router's memo answers none of them
+	// and every read reaches a worker, which is what the kill has to
+	// interrupt. Cycling primaries and scenarios spreads the reads over
+	// several views. The reference answers each read as it is made.
+	primaries := assets.Oahu().ControlSiteCandidates()
+	scenarios := []string{"hurricane", "intrusion", "isolation", "both"}
+	var seq atomic.Int64
+	next := func() string {
+		i := int(seq.Add(1))
+		return fmt.Sprintf("/v1/placement?primary=%s&scenario=%s&limit=%d",
+			primaries[i%len(primaries)].ID, scenarios[i/len(primaries)%len(scenarios)], i)
 	}
 
-	// Load loop: every goroutine cycles the battery until told to stop,
+	// Load loop: every goroutine issues fresh reads until told to stop,
 	// classifying each response.
 	var (
 		stop     = make(chan struct{})
@@ -406,17 +429,21 @@ func TestShardedWorkerKill(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				q := identityQueries[i%len(identityQueries)]
-				code, body, _ := roundTrip(c.rt.Handler(), q.method, q.url, q.body)
+				url := next()
+				code, body, _ := roundTrip(c.rt.Handler(), http.MethodGet, url, "")
+				wantCode, want, _ := roundTrip(ref.Handler(), http.MethodGet, url, "")
+				if wantCode != http.StatusOK {
+					t.Errorf("reference %s = %d", url, wantCode)
+				}
 				mu.Lock()
 				switch {
-				case code == http.StatusOK && bytes.Equal(body, want[q.method+q.url]):
+				case code == http.StatusOK && bytes.Equal(body, want):
 					ok++
 					if killed {
 						sawAfter++
@@ -425,7 +452,7 @@ func TestShardedWorkerKill(t *testing.T) {
 					shed++
 				default:
 					if len(wrong) < 5 {
-						wrong = append(wrong, fmt.Sprintf("%s %s → %d: %.200s", q.method, q.url, code, body))
+						wrong = append(wrong, fmt.Sprintf("GET %s → %d: %.200s", url, code, body))
 					}
 				}
 				mu.Unlock()
@@ -498,9 +525,12 @@ func benchCluster(b *testing.B) *cluster {
 	return benchShared
 }
 
-// BenchmarkShardedSweepRouter measures the full routed path: router
-// handler, shard-key derivation, batching gate, HTTP to the owning
-// worker process, cached view evaluation, response replay.
+// BenchmarkShardedSweepRouter measures a warm repeat through the
+// router: handler, shard-key derivation and a memo hit replayed to the
+// client. It repeats one query, so after the warm-up every iteration is
+// answered by the router's memo with no call to a worker; the routed
+// miss path (HTTP to the owning worker, cached view evaluation) is not
+// in this number.
 func BenchmarkShardedSweepRouter(b *testing.B) {
 	c := benchCluster(b)
 	b.ResetTimer()
@@ -513,8 +543,9 @@ func BenchmarkShardedSweepRouter(b *testing.B) {
 }
 
 // BenchmarkShardedSweepDirect is the same cached sweep sent straight
-// to the owning worker process — the router's overhead is the delta
-// against BenchmarkShardedSweepRouter.
+// to the owning worker process over loopback HTTP. Against
+// BenchmarkShardedSweepRouter, which the memo answers, the delta is the
+// worker hop a memo hit saves, not the router's overhead on a miss.
 func BenchmarkShardedSweepDirect(b *testing.B) {
 	c := benchCluster(b)
 	_, _, backend := roundTrip(c.rt.Handler(), http.MethodGet, "/v1/sweep?scenario=both", "")
@@ -544,7 +575,8 @@ func BenchmarkShardedSweepDirect(b *testing.B) {
 }
 
 // BenchmarkShardedSweepParallel runs identical concurrent sweeps
-// through the router, exercising the batching gate under contention.
+// through the router, exercising the memo's lock under contention
+// (every iteration after the warm-up is a hit).
 func BenchmarkShardedSweepParallel(b *testing.B) {
 	c := benchCluster(b)
 	b.ResetTimer()

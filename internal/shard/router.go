@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,7 +75,7 @@ type Router struct {
 	opt      Options
 	backends []*backend
 	ring     *Ring
-	batch    *batcher
+	memo     *memo
 	jobs     *jobRoutes
 	mux      *http.ServeMux
 	start    time.Time
@@ -121,7 +122,7 @@ func New(opt Options) (*Router, error) {
 	rt := &Router{
 		opt:       opt,
 		ring:      NewRing(len(opt.Backends), opt.Replicas),
-		batch:     newBatcher(rec),
+		memo:      newMemo(rec),
 		jobs:      newJobRoutes(opt.MaxJobRoutes),
 		mux:       http.NewServeMux(),
 		start:     time.Now(),
@@ -294,12 +295,10 @@ func (rt *Router) writeResponse(w http.ResponseWriter, res *response) error {
 // resolve to content fingerprints from backend health responses, so
 // renaming an ensemble (or omitting the name where one is loaded)
 // cannot split one view across workers; an unresolvable name routes by
-// name and lets the owning worker return the authoritative 404. A nil
-// owners slice means every healthy worker can answer (startup-loaded
-// ensembles) and plain ring routing applies.
-func (rt *Router) resolve(shape serve.QueryShape) (string, []*backend) {
-	var fp string
-	var owners []*backend
+// name (fp is then "") and lets the owning worker return the
+// authoritative 404. A nil owners slice means every healthy worker can
+// answer (startup-loaded ensembles) and plain ring routing applies.
+func (rt *Router) resolve(shape serve.QueryShape) (fp, key string, owners []*backend) {
 	healthy := 0
 	for _, b := range rt.backends {
 		if !b.healthy.Load() {
@@ -318,13 +317,13 @@ func (rt *Router) resolve(shape serve.QueryShape) (string, []*backend) {
 		}
 	}
 	if fp == "" {
-		return "name\x1f" + shape.Ensemble + "\x1f" + shape.Identity, nil
+		return "", "name\x1f" + shape.Ensemble + "\x1f" + shape.Identity, nil
 	}
-	key := fp + "\x1f" + shape.Identity
+	key = fp + "\x1f" + shape.Identity
 	if len(owners) == healthy {
-		return key, nil
+		return fp, key, nil
 	}
-	return key, owners
+	return fp, key, owners
 }
 
 // candidatesFor orders the fetch sequence for a key: the owning
@@ -455,24 +454,38 @@ func (rt *Router) forwardSpanned(ctx context.Context, b *backend, method, path, 
 	return res, err
 }
 
-// serveSharded is the common read path: derive the shard key, batch
-// identical in-flight reads, fetch with failover, replay the winner.
-func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape serve.QueryShape, body []byte) error {
+// serveSharded is the common read path: derive the shard key, answer
+// repeats from the memo, share identical in-flight misses, fetch with
+// failover, replay the winner. q is the query the shape was derived
+// from.
+func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape serve.QueryShape, q url.Values, body []byte) error {
 	ctx := r.Context()
-	cands := rt.candidatesFor(rt.resolve(shape))
+	fp, key, owners := rt.resolve(shape)
 	contentType := r.Header.Get("Content-Type")
-	var res *response
-	var err error
-	if shape.Batchable {
-		sp := obs.SpanFromContext(ctx).StartChild("batch")
-		bctx := obs.ContextWithSpan(ctx, sp)
-		res, _, err = rt.batch.do(bctx, serve.BatchKey(r, body), func() (*response, error) {
-			return rt.fetch(bctx, cands, r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, true)
-		})
-		sp.End()
-	} else {
-		res, err = rt.fetch(ctx, cands, r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, false)
+	if !shape.Batchable {
+		res, err := rt.fetch(ctx, rt.candidatesFor(key, owners), r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, false)
+		if err != nil {
+			return err
+		}
+		return rt.writeResponse(w, res)
 	}
+	// An answer is stored only when the backend that produced it
+	// advertises the fingerprint the key names: a failover onto a worker
+	// holding other content under the name is served, not remembered.
+	// An unresolved name (fp "") is never stored.
+	var admit func(*response) bool
+	if fp != "" {
+		admit = func(res *response) bool {
+			got, ok := rt.backends[res.backend].fingerprint(shape.Ensemble)
+			return ok && got == fp
+		}
+	}
+	sp := obs.SpanFromContext(ctx).StartChild("memo")
+	mctx := obs.ContextWithSpan(ctx, sp)
+	res, err := rt.memo.do(mctx, key+"\x1e"+serve.ResponseKey(r.Method, r.URL.Path, q, body), func() (*response, error) {
+		return rt.fetch(mctx, rt.candidatesFor(key, owners), r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, true)
+	}, admit)
+	sp.End()
 	if err != nil {
 		return err
 	}
@@ -494,12 +507,13 @@ func (rt *Router) readBody(r *http.Request) ([]byte, error) {
 
 func (rt *Router) handleSweepGet(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	shape, err := serve.SweepShape(r.URL.Query(), nil)
+	q := r.URL.Query()
+	shape, err := serve.SweepShape(q, nil)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, nil)
+	return rt.serveSharded(w, r, shape, q, nil)
 }
 
 func (rt *Router) handleSweepPost(w http.ResponseWriter, r *http.Request) error {
@@ -513,27 +527,29 @@ func (rt *Router) handleSweepPost(w http.ResponseWriter, r *http.Request) error 
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, body)
+	return rt.serveSharded(w, r, shape, r.URL.Query(), body)
 }
 
 func (rt *Router) handleFigure(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	shape, err := serve.FigureShape(r.PathValue("id"), r.URL.Query())
+	q := r.URL.Query()
+	shape, err := serve.FigureShape(r.PathValue("id"), q)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, nil)
+	return rt.serveSharded(w, r, shape, q, nil)
 }
 
 func (rt *Router) handlePlacement(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	shape, err := serve.PlacementShape(r.URL.Query())
+	q := r.URL.Query()
+	shape, err := serve.PlacementShape(q)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, nil)
+	return rt.serveSharded(w, r, shape, q, nil)
 }
 
 // handlePlacementSearch forwards a submission to the shard owning its
@@ -549,8 +565,8 @@ func (rt *Router) handlePlacementSearch(w http.ResponseWriter, r *http.Request) 
 	if err != nil {
 		return err
 	}
-	cands := rt.candidatesFor(rt.resolve(shape))
-	return rt.forwardSubmission(w, r, cands, body)
+	_, key, owners := rt.resolve(shape)
+	return rt.forwardSubmission(w, r, rt.candidatesFor(key, owners), body)
 }
 
 // forwardSubmission forwards a job-creating POST and learns the
@@ -719,7 +735,7 @@ func (rt *Router) handleEnsembleSubmit(w http.ResponseWriter, r *http.Request) e
 }
 
 // handleHealthz reports the router's own state: per-backend health,
-// learned fingerprints, and the batching split.
+// learned fingerprints, and the batching split of memo misses.
 func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 	type backendJSON struct {
 		Index     int               `json:"index"`
@@ -744,8 +760,8 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"healthy_backends": healthy,
 		"routed_jobs":      rt.jobs.len(),
 		"batch": map[string]int64{
-			"leaders": rt.batch.leaders.Value(),
-			"joined":  rt.batch.joined.Value(),
+			"leaders": rt.memo.leaders.Value(),
+			"joined":  rt.memo.joined.Value(),
 		},
 	})
 }
@@ -761,8 +777,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 	return errNoBackend("no healthy backends")
 }
 
-// handleMetrics serves the router's instruments (batching split,
-// retries, hedges, per-backend traffic) in Prometheus text exposition.
+// handleMetrics serves the router's instruments (memo hits and
+// admissions, batching split, retries, hedges, per-backend traffic) in
+// Prometheus text exposition.
 // With fleet=1 it scrapes every healthy backend and merges the whole
 // tier into one exposition (see federate.go).
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {

@@ -15,16 +15,18 @@ import (
 )
 
 // fakeWorker is a scriptable stand-in for a threatserver worker: it
-// answers health probes with a fixed ensemble fingerprint, counts
+// answers health probes with a settable ensemble fingerprint, counts
 // sweep hits, owns an explicit set of job IDs, and can be told to fail
-// every query with a 500.
+// every query with a 500 or to reject sweeps with a fixed 4xx.
 type fakeWorker struct {
 	idx    int
 	srv    *httptest.Server
 	sweeps atomic.Int64
 	fail   atomic.Bool
+	reject atomic.Int64 // non-zero: sweeps answer this status
 
 	mu          sync.Mutex
+	fp          string        // fingerprint advertised for "hurricane", echoed in sweep bodies
 	gate        chan struct{} // non-nil: sweep blocks until closed
 	jobs        map[string]bool
 	traceparent string                        // last traceparent header seen on a sweep
@@ -36,6 +38,20 @@ func (f *fakeWorker) lastTraceparent() string {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.traceparent
+}
+
+// setFingerprint changes the content the worker holds under
+// "hurricane", as a restart with another ensemble would.
+func (f *fakeWorker) setFingerprint(fp string) {
+	f.mu.Lock()
+	f.fp = fp
+	f.mu.Unlock()
+}
+
+func (f *fakeWorker) fingerprint() string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.fp
 }
 
 func (f *fakeWorker) setGate(ch chan struct{}) {
@@ -52,10 +68,10 @@ func (f *fakeWorker) ownJob(id string) {
 
 func newFakeWorker(t *testing.T, idx int) *fakeWorker {
 	t.Helper()
-	f := &fakeWorker{idx: idx, jobs: make(map[string]bool)}
+	f := &fakeWorker{idx: idx, jobs: make(map[string]bool), fp: "00000000cafef00d"}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"status":"ok","ensembles":[{"name":"hurricane","fingerprint":"00000000cafef00d"}]}`)
+		fmt.Fprintf(w, `{"status":"ok","ensembles":[{"name":"hurricane","fingerprint":%q}]}`, f.fingerprint())
 	})
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -65,15 +81,22 @@ func newFakeWorker(t *testing.T, idx int) *fakeWorker {
 			http.Error(w, "injected failure", http.StatusInternalServerError)
 			return
 		}
+		if code := f.reject.Load(); code != 0 {
+			f.sweeps.Add(1)
+			w.WriteHeader(int(code))
+			fmt.Fprint(w, `{"error":{"code":"not_found","message":"injected rejection"}}`)
+			return
+		}
 		f.mu.Lock()
 		f.traceparent = r.Header.Get("traceparent")
 		gate := f.gate
+		fp := f.fp
 		f.mu.Unlock()
 		if gate != nil {
 			<-gate
 		}
 		f.sweeps.Add(1)
-		fmt.Fprintf(w, `{"worker":%d}`, f.idx)
+		fmt.Fprintf(w, `{"worker":%d,"fp":%q}`, f.idx, fp)
 	})
 	mux.HandleFunc("GET /v1/traces/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
@@ -177,8 +200,25 @@ func do(t *testing.T, rt *Router, method, url string, body string) *httptest.Res
 	return w
 }
 
-// TestRouterStableSharding checks every identical sweep lands on the
-// same worker, and that the response is tagged with that worker.
+// viewSweeps are distinct sweeps over one compiled view: the scenario
+// and the spelling of defaults change the request's identity but not
+// the view, so all of them share one shard key while none repeats another
+// (a repeat would be answered from the router's memo).
+var viewSweeps = []string{
+	"/v1/sweep?scenario=hurricane",
+	"/v1/sweep?scenario=intrusion",
+	"/v1/sweep?scenario=isolation",
+	"/v1/sweep?scenario=both",
+	"/v1/sweep?ensemble=hurricane",
+	"/v1/sweep?ensemble=hurricane&scenario=hurricane",
+	"/v1/sweep?ensemble=hurricane&scenario=intrusion",
+	"/v1/sweep?ensemble=hurricane&scenario=isolation",
+	"/v1/sweep?ensemble=hurricane&scenario=both",
+	"/v1/sweep?primary=honolulu-cc", // the default placement, spelled out
+}
+
+// TestRouterStableSharding checks every sweep over one view lands on
+// the same worker, and that the response is tagged with that worker.
 func TestRouterStableSharding(t *testing.T) {
 	a, b := newFakeWorker(t, 0), newFakeWorker(t, 1)
 	rt := newTestRouter(t, Options{}, a, b)
@@ -191,7 +231,7 @@ func TestRouterStableSharding(t *testing.T) {
 		t.Fatal("response missing X-Shard-Backend")
 	}
 	for i := 0; i < 10; i++ {
-		w := do(t, rt, http.MethodGet, "/v1/sweep", "")
+		w := do(t, rt, http.MethodGet, viewSweeps[i], "")
 		if got := w.Header().Get("X-Shard-Backend"); got != home {
 			t.Fatalf("request %d landed on backend %s, home is %s", i, got, home)
 		}
@@ -347,9 +387,9 @@ func TestRouterBatching(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for rt.batch.joined.Value() < n-1 {
+	for rt.memo.joined.Value() < n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("joined=%d after 5s, want %d", rt.batch.joined.Value(), n-1)
+			t.Fatalf("joined=%d after 5s, want %d", rt.memo.joined.Value(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -363,7 +403,7 @@ func TestRouterBatching(t *testing.T) {
 	if got := a.sweeps.Load(); got != 1 {
 		t.Fatalf("worker served %d sweeps, want 1", got)
 	}
-	if l := rt.batch.leaders.Value(); l != 1 {
+	if l := rt.memo.leaders.Value(); l != 1 {
 		t.Fatalf("batch_leaders = %d, want 1", l)
 	}
 }
@@ -408,7 +448,8 @@ func TestRouterHealthEndpoints(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	mw := do(t, rt, http.MethodGet, "/v1/metrics", "")
-	if mw.Code != http.StatusOK || !strings.Contains(mw.Body.String(), "shard_batch_leaders") {
+	if mw.Code != http.StatusOK || !strings.Contains(mw.Body.String(), "shard_batch_leaders") ||
+		!strings.Contains(mw.Body.String(), "shard_memo_hits") {
 		t.Fatalf("metrics missing shard counters: %d: %.200s", mw.Code, mw.Body.String())
 	}
 }

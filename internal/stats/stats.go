@@ -106,7 +106,9 @@ func (p *Profile) Dominant() (opstate.State, bool) {
 
 // WilsonInterval returns the Wilson score interval for k successes out
 // of n trials with normal quantile z (1.96 for 95%). It returns (0, 0)
-// for n == 0.
+// for n == 0. At k == 0 and k == n the bound at the edge is exactly 0
+// or 1, as in exact arithmetic: the floating-point formula can land one
+// ulp inside, which would exclude the point estimate k/n.
 func WilsonInterval(k, n int, z float64) (lo, hi float64) {
 	if n == 0 {
 		return 0, 0
@@ -118,6 +120,12 @@ func WilsonInterval(k, n int, z float64) (lo, hi float64) {
 	half := z / denom * math.Sqrt(p*(1-p)/nn+z*z/(4*nn*nn))
 	lo = math.Max(0, center-half)
 	hi = math.Min(1, center+half)
+	if k == 0 {
+		lo = 0
+	}
+	if k == n {
+		hi = 1
+	}
 	return lo, hi
 }
 

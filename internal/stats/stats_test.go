@@ -128,6 +128,13 @@ func TestWilsonIntervalProperties(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	// At the edges the formula rounds inside the unit interval for many
+	// n (k = n = 24 gave hi = 1 − 1 ulp); the bound must still hold.
+	for n := 1; n <= 5000; n++ {
+		if !f(0, uint16(n-1)) || !f(uint16(n), uint16(n-1)) {
+			t.Fatalf("interval excludes k/n at the edge for n = %d", n)
+		}
+	}
 }
 
 func TestProfileInterval(t *testing.T) {
