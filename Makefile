@@ -38,8 +38,10 @@ bench-compress:
 # The analysis-server benchmarks: the HTTP serving path (handler stack,
 # compiled-view cache, evaluator pool) over a 1000-realization synthetic
 # ensemble. 100 iterations so cached-path numbers are steady-state.
+# -benchmem so the serving path's allocations per request show in CI
+# logs.
 bench-serve:
-	$(GO) test -run '^$$' -bench 'Serve' -benchtime 100x ./internal/serve/
+	$(GO) test -run '^$$' -bench 'Serve' -benchtime 100x -benchmem ./internal/serve/
 
 # The observability-cost benchmarks: the cached sweep with tracing on
 # vs off plus the live Prometheus exposition render. -benchmem so the
@@ -55,11 +57,13 @@ bench-placement:
 	$(GO) test -run '^$$' -bench 'Pairs|KSite' -benchtime 20x ./internal/placement/
 
 # The sharded-serving benchmarks: the consistent-hash router over two
-# real re-executed worker processes vs direct worker access. One
-# iteration is the smoke test that the multi-process path still boots
-# and serves end to end; cluster startup dominates the runtime.
+# real re-executed worker processes vs direct worker access, memo hits
+# and routed misses. One iteration is the smoke test that the
+# multi-process path still boots and serves end to end; cluster
+# startup dominates the runtime. -benchmem so the router's allocations
+# per request show in CI logs.
 bench-shard:
-	$(GO) test -run '^$$' -bench 'Sharded' -benchtime 1x ./internal/shard/
+	$(GO) test -run '^$$' -bench 'Sharded' -benchtime 1x -benchmem ./internal/shard/
 
 # The ensemble-generation benchmarks: the single-scan batch pipeline
 # vs the retained reference path, end-to-end (50-realization Oahu

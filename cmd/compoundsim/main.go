@@ -57,7 +57,7 @@ func run(args []string) (err error) {
 	summary := fs.Bool("summary", false, "print the dominant-state matrix instead of figures")
 	quake := fs.Bool("quake", false, "use the earthquake hazard (south-flank fault) instead of the hurricane")
 	fragilityBeta := fs.Float64("fragility", 0, "replace the 0.5 m threshold with a lognormal fragility curve of this dispersion (0 = off)")
-	workers := fs.Int("workers", 0, "analysis worker bound (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "analysis worker bound (0 = GOMAXPROCS)")
 	var ocli obs.CLI
 	ocli.Register(fs)
 	if err := fs.Parse(args); err != nil {

@@ -50,7 +50,7 @@ func run(args []string) (err error) {
 	realizations := fs.Int("realizations", 1000, "hurricane realizations")
 	pairs := fs.Bool("pairs", false, "search (second, data center) pairs instead of second site only")
 	top := fs.Int("top", 10, "show the top K candidates")
-	workers := fs.Int("workers", 0, "search worker bound (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "search worker bound (0 = GOMAXPROCS)")
 	k := fs.Int("k", 0, "place K sites with the scalable search instead of the pair study (0 = pair study)")
 	exact := fs.Bool("exact", false, "with -k: branch-and-bound to the provable optimum after greedy")
 	objective := fs.String("objective", "green", "with -k: objective, green or weighted")

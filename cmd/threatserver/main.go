@@ -84,7 +84,7 @@ func run(args []string) (err error) {
 	realizations := fs.Int("realizations", 1000, "disaster realizations per ensemble")
 	seed := fs.Int64("seed", 0, "ensemble seed override (0 = calibrated default)")
 	quake := fs.Bool("quake", false, `also load the earthquake ensemble (served as "quake")`)
-	workers := fs.Int("workers", 0, "evaluation worker bound (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "evaluation worker bound (0 = GOMAXPROCS)")
 	cacheEntries := fs.Int("cache", 0, "compiled-view cache capacity in entries (0 = 64)")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline")
 	maxInflight := fs.Int("max-inflight", 0, "concurrently evaluating requests (0 = two per CPU)")

@@ -245,7 +245,7 @@ func AnalyzeConfigs(e *Ensemble, configs []Config, sc ThreatScenario) ([]Outcome
 	return analysis.RunConfigs(e, configs, sc)
 }
 
-// AnalyzeOpt is Analyze with an explicit worker bound (0 = NumCPU).
+// AnalyzeOpt is Analyze with an explicit worker bound (0 = GOMAXPROCS).
 func AnalyzeOpt(e *Ensemble, cfg Config, sc ThreatScenario, opt AnalysisOptions) (Outcome, error) {
 	return analysis.RunOpt(e, cfg, sc, opt)
 }

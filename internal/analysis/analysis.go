@@ -51,7 +51,7 @@ type DisasterEnsemble interface {
 // Options tunes how the analysis engine schedules work.
 type Options struct {
 	// Workers bounds parallelism: 0 (the default) uses
-	// runtime.NumCPU(); 1 runs single-threaded (still on the
+	// runtime.GOMAXPROCS(0); 1 runs single-threaded (still on the
 	// allocation-free engine path).
 	Workers int
 }
@@ -91,7 +91,7 @@ func validateCell(e DisasterEnsemble, cfg topology.Config, scenario threat.Scena
 
 // Run analyzes one configuration under one scenario across the whole
 // ensemble on the engine path, parallelizing distinct-pattern chunks
-// across runtime.NumCPU() workers. Results are bit-identical to
+// across runtime.GOMAXPROCS(0) workers. Results are bit-identical to
 // walking every realization with the worst-case attacker.
 func Run(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario) (Outcome, error) {
 	return RunOpt(e, cfg, scenario, Options{})

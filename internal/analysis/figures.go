@@ -90,7 +90,7 @@ func NewCaseStudy(e *hazard.Ensemble) (*CaseStudy, error) {
 	return &CaseStudy{ensemble: e}, nil
 }
 
-// SetWorkers bounds evaluation parallelism (0 = runtime.NumCPU()).
+// SetWorkers bounds evaluation parallelism (0 = runtime.GOMAXPROCS(0)).
 func (cs *CaseStudy) SetWorkers(n int) { cs.workers = n }
 
 // options renders the case study's tuning knobs as engine Options.

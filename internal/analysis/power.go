@@ -42,7 +42,7 @@ type PowerSweepRequest struct {
 	TrialsPerRealization int
 	// Seed drives the attack randomness.
 	Seed int64
-	// Workers bounds parallelism across sweep points (0 = NumCPU).
+	// Workers bounds parallelism across sweep points (0 = GOMAXPROCS).
 	Workers int
 }
 

@@ -47,7 +47,7 @@ const linearScanLimit = 64
 
 // Compress deduplicates the matrix rows in one hash-grouped pass.
 // Row hashing parallelizes across up to workers goroutines (0 =
-// NumCPU, 1 = inline); grouping itself is a deterministic sequential
+// GOMAXPROCS, 1 = inline); grouping itself is a deterministic sequential
 // pass over the hashes, so the distinct-row order (first occurrence)
 // and weights are identical for every worker count. Single-word
 // matrices (at most 64 assets) with few distinct patterns skip the

@@ -68,12 +68,15 @@ type ColumnAppender interface {
 }
 
 // Workers resolves a worker-count option: values above zero are used
-// as given, zero (the default) means runtime.NumCPU().
+// as given, zero (the default) means runtime.GOMAXPROCS(0) — one worker
+// per processor the scheduler can actually run, so a process pinned to
+// GOMAXPROCS=1 evaluates inline instead of starting goroutines that
+// only take turns.
 func Workers(n int) int {
 	if n > 0 {
 		return n
 	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // ForEachCtx is ForEach with request-scoped tracing: when ctx carries
@@ -89,7 +92,7 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 }
 
 // ForEach runs fn(i) for every i in [0, n) across up to workers
-// goroutines (0 = NumCPU). Items are claimed from an atomic counter,
+// goroutines (0 = GOMAXPROCS). Items are claimed from an atomic counter,
 // so callers must make fn(i) write only to its own slot of any shared
 // output — then results are deterministic regardless of scheduling.
 // The first error observed stops the remaining work and is returned.

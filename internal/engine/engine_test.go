@@ -162,14 +162,20 @@ func TestFailureCount(t *testing.T) {
 }
 
 func TestWorkers(t *testing.T) {
-	if got := engine.Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
+	procs := runtime.GOMAXPROCS(0)
+	if got := engine.Workers(0); got != procs {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, procs)
 	}
 	if got := engine.Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
 	}
-	if got := engine.Workers(-5); got != runtime.NumCPU() {
-		t.Errorf("Workers(-5) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := engine.Workers(-5); got != procs {
+		t.Errorf("Workers(-5) = %d, want GOMAXPROCS %d", got, procs)
+	}
+	// A process pinned to one processor evaluates inline.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if got := engine.Workers(0); got != 1 {
+		t.Errorf("Workers(0) under GOMAXPROCS(1) = %d, want 1", got)
 	}
 }
 

@@ -114,7 +114,7 @@ type KRequest struct {
 	// engine.SymmetricConfig — and equal-size site sets must map to
 	// identically shaped configurations.
 	Build func(sites []string) topology.Config
-	// Workers bounds parallelism (0 = runtime.NumCPU()).
+	// Workers bounds parallelism (0 = runtime.GOMAXPROCS(0)).
 	Workers int
 	// Exact runs branch-and-bound to the provable optimum instead of
 	// stopping at the greedy heuristic.

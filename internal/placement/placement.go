@@ -70,7 +70,7 @@ type Request struct {
 	// (nil = the "6+6+6" configuration).
 	Build func(topology.Placement) topology.Config
 	// Workers bounds parallelism across candidate placements
-	// (0 = runtime.NumCPU()).
+	// (0 = runtime.GOMAXPROCS(0)).
 	Workers int
 	// NoKernel disables the word-parallel mask kernel, forcing the
 	// memoized per-pattern evaluator even when the configuration family

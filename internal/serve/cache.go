@@ -13,14 +13,12 @@ import (
 )
 
 // view is one compiled (ensemble, asset universe) pair: the bit-packed
-// failure matrix, its deduplicated row view, and an evaluator pool
-// recycling 2^S memo tables across the queries that hit this view.
-// Views are immutable after compilation (the pool is internally
-// synchronized), so any number of request goroutines share one view.
+// failure matrix and its deduplicated row view. Views are immutable
+// after compilation, so any number of request goroutines share one
+// view.
 type view struct {
 	matrix *engine.FailureMatrix
 	cm     *engine.CompressedMatrix
-	pool   engine.EvaluatorPool
 }
 
 // newView compiles the ensemble's failure flags for the asset universe
@@ -45,15 +43,17 @@ func newView(ctx context.Context, e Ensemble, universe []string, workers int) (*
 
 // cell evaluates one (configuration, capability) cell against the
 // view's distinct flood patterns — the serving hot path. One pooled
-// evaluator, one weighted pass, no per-realization work.
-func (v *view) cell(cfg topology.Config, capability threat.Capability) (*stats.Profile, error) {
-	ev, err := v.pool.Get(v.matrix, cfg, capability)
+// evaluator, one weighted pass, no per-realization work. The pool is
+// the server's: Get rebinds a pooled evaluator to this view's matrix,
+// so a freshly compiled view reuses the memo tables of earlier ones.
+func (v *view) cell(pool *engine.EvaluatorPool, cfg topology.Config, capability threat.Capability) (*stats.Profile, error) {
+	ev, err := pool.Get(v.matrix, cfg, capability)
 	if err != nil {
 		return nil, err
 	}
 	var counts engine.Counts
 	err = ev.AddWeighted(&counts, v.cm, 0, v.cm.DistinctRows())
-	v.pool.Put(ev)
+	pool.Put(ev)
 	if err != nil {
 		return nil, err
 	}

@@ -23,8 +23,9 @@
 //     query; evaluating the 2-3 distinct flood patterns afterwards is
 //     nearly free. The server therefore compiles once per (ensemble
 //     hash, asset-universe fingerprint) pair and keeps the compiled
-//     view — matrix, compressed rows, and an evaluator pool recycling
-//     2^S memo tables — in a bounded LRU cache.
+//     view — matrix and compressed rows — in a bounded LRU cache. One
+//     server-wide evaluator pool recycles 2^S memo tables across all
+//     views.
 //   - Coalescing. Concurrent identical queries (a stampede after a
 //     restart) trigger exactly one compile: the first request starts
 //     it, every other request for the same key waits on the same
@@ -42,7 +43,7 @@
 // after construction, so any number of handler goroutines read them
 // without locks; the only mutable shared state is the cache index
 // (one mutex, held only for map/list operations, never during a
-// compile) and the evaluator pools (sync.Pool). Evaluation itself is
+// compile) and the evaluator pool (sync.Pool). Evaluation itself is
 // allocation-free per cell on the engine's weighted path. Results are
 // bit-identical to the batch CLIs because the cells run the same
 // engine code over the same compiled bits.

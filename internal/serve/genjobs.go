@@ -252,10 +252,10 @@ func (s *Server) handleEnsembleSubmit(w http.ResponseWriter, r *http.Request) er
 		w.Header().Set("Location", "/v1/ensembles/jobs/"+j.id)
 		return writeJSONStatus(w, http.StatusOK, genSubmitResponse(j, true))
 	}
-	if err := s.uploads.headroom(clientKey(r)); err != nil {
+	if err := s.uploads.headroom(ClientKey(r)); err != nil {
 		return err
 	}
-	client := clientKey(r)
+	client := ClientKey(r)
 	j, coalesced, err := s.genjobs.submit(p.scenarioID, func(id string) *genJob {
 		nj := &genJob{
 			id:          id,
@@ -378,7 +378,7 @@ func (s *Server) commitEnsemble(j *genJob, e *hazard.Ensemble, client string) er
 // ---- GET /v1/ensembles/jobs/{id} ----
 
 func (s *Server) handleEnsembleJob(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	id := r.PathValue("id")

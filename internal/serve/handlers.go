@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -99,12 +101,27 @@ func (s *Server) writeError(w http.ResponseWriter, err error) int {
 	case errors.As(err, &mbe):
 		status, code = http.StatusRequestEntityTooLarge, "body_too_large"
 	}
+	WriteError(w, status, code, err.Error())
+	return status
+}
+
+// errorJSON is the {"error":{"code","message"}} envelope.
+type errorJSON struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
+}
+
+// WriteError renders the API error envelope with the given status. The
+// router tier renders its own rejections through it too, so a client
+// sees one envelope whichever tier answered.
+func WriteError(w http.ResponseWriter, status int, code, message string) {
+	var body errorJSON
+	body.Error.Code, body.Error.Message = code, message
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": err.Error()},
-	})
-	return status
+	json.NewEncoder(w).Encode(body)
 }
 
 // writeJSON renders a success response.
@@ -125,18 +142,55 @@ func writeJSONTraced(ctx context.Context, w http.ResponseWriter, v any) error {
 
 // checkParams rejects query parameters outside the allowed set, so
 // typos ("scenrio=both") fail loudly instead of silently running the
-// default query.
-func checkParams(r *http.Request, allowed ...string) error {
-	ok := make(map[string]bool, len(allowed))
-	for _, a := range allowed {
-		ok[a] = true
-	}
-	for k := range r.URL.Query() {
-		if !ok[k] {
+// default query. q is the request's already-parsed query: a handler
+// parses its query once and validates and reads the same values.
+func checkParams(q url.Values, allowed ...string) error {
+	for k := range q {
+		if !slices.Contains(allowed, k) {
 			return badRequestf("unknown parameter %q (allowed: %v)", k, allowed)
 		}
 	}
 	return nil
+}
+
+// The query parameters each read endpoint accepts. Package-level, so a
+// valid request passes its list to checkParams without building one.
+var (
+	sweepParams     = []string{"ensemble", "scenario", "config", "primary", "second", "data_center"}
+	figureParams    = []string{"ensemble"}
+	placementParams = []string{"ensemble", "primary", "scenario", "data_center", "objective", "limit"}
+)
+
+// Answer bodies are fixed-order structs, not maps: encoding/json
+// renders a struct in field order with no per-request key sort, and
+// each struct's fields follow the sorted key order the map-rendered
+// bodies had, so the bytes on the wire are unchanged
+// (testdata/*.json pins them).
+
+// stateCounts is a profile's outcome count per operational state.
+type stateCounts struct {
+	Gray   int `json:"gray"`
+	Green  int `json:"green"`
+	Orange int `json:"orange"`
+	Red    int `json:"red"`
+}
+
+// stateProbabilities is a profile's outcome share per operational
+// state.
+type stateProbabilities struct {
+	Gray   float64 `json:"gray"`
+	Green  float64 `json:"green"`
+	Orange float64 `json:"orange"`
+	Red    float64 `json:"red"`
+}
+
+func renderProbabilities(p *stats.Profile) stateProbabilities {
+	return stateProbabilities{
+		Gray:   p.Probability(opstate.Gray),
+		Green:  p.Probability(opstate.Green),
+		Orange: p.Probability(opstate.Orange),
+		Red:    p.Probability(opstate.Red),
+	}
 }
 
 // outcomeJSON is one evaluated (configuration, scenario) cell.
@@ -144,23 +198,23 @@ type outcomeJSON struct {
 	Config        string             `json:"config"`
 	Scenario      string             `json:"scenario"`
 	Realizations  int                `json:"realizations"`
-	Counts        map[string]int     `json:"counts"`
-	Probabilities map[string]float64 `json:"probabilities"`
+	Counts        stateCounts        `json:"counts"`
+	Probabilities stateProbabilities `json:"probabilities"`
 }
 
 func renderOutcome(cfg topology.Config, scenario threat.Scenario, p *stats.Profile) outcomeJSON {
-	o := outcomeJSON{
-		Config:        cfg.Name,
-		Scenario:      scenario.String(),
-		Realizations:  p.Total(),
-		Counts:        make(map[string]int, 4),
-		Probabilities: make(map[string]float64, 4),
+	return outcomeJSON{
+		Config:       cfg.Name,
+		Scenario:     scenario.String(),
+		Realizations: p.Total(),
+		Counts: stateCounts{
+			Gray:   p.Count(opstate.Gray),
+			Green:  p.Count(opstate.Green),
+			Orange: p.Count(opstate.Orange),
+			Red:    p.Count(opstate.Red),
+		},
+		Probabilities: renderProbabilities(p),
 	}
-	for _, st := range opstate.States() {
-		o.Counts[st.String()] = p.Count(st)
-		o.Probabilities[st.String()] = p.Probability(st)
-	}
-	return o
 }
 
 // placementJSON renders a topology.Placement.
@@ -173,7 +227,7 @@ type placementJSON struct {
 // ---- /v1/healthz ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	type ensembleJSON struct {
@@ -211,7 +265,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 // ---- /v1/report ----
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -224,7 +278,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
 // in Prometheus text exposition format. With observability disabled it
 // still answers 200 with a comment line, so scrapes never error.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -238,11 +292,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // first, each trace rendered with its full span tree. limit bounds the
 // traces returned per ring.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r, "limit"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, "limit"); err != nil {
 		return err
 	}
 	limit := 0
-	if l := r.URL.Query().Get("limit"); l != "" {
+	if l := q.Get("limit"); l != "" {
 		var err error
 		limit, err = strconv.Atoi(l)
 		if err != nil || limit <= 0 {
@@ -285,7 +340,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
 // fetch that follows the original request always finds it (until ring
 // eviction).
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	if s.tracer == nil {
@@ -315,10 +370,10 @@ type sweepRequest struct {
 }
 
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r, "ensemble", "scenario", "config", "primary", "second", "data_center"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, sweepParams...); err != nil {
 		return err
 	}
-	q := r.URL.Query()
 	return s.sweep(w, r, sweepRequest{
 		Ensemble:   q.Get("ensemble"),
 		Scenario:   q.Get("scenario"),
@@ -359,12 +414,20 @@ func (s *Server) sweep(w http.ResponseWriter, r *http.Request, req sweepRequest)
 	if err != nil {
 		return err
 	}
-	return writeJSONTraced(ctx, w, map[string]any{
-		"ensemble":  ens.name,
-		"scenario":  scenario.String(),
-		"placement": placementJSON{p.Primary, p.Second, p.DataCenter},
-		"outcomes":  outcomes,
+	return writeJSONTraced(ctx, w, sweepJSON{
+		Ensemble:  ens.name,
+		Outcomes:  outcomes,
+		Placement: placementJSON{p.Primary, p.Second, p.DataCenter},
+		Scenario:  scenario.String(),
 	})
+}
+
+// sweepJSON is the sweep answer.
+type sweepJSON struct {
+	Ensemble  string        `json:"ensemble"`
+	Outcomes  []outcomeJSON `json:"outcomes"`
+	Placement placementJSON `json:"placement"`
+	Scenario  string        `json:"scenario"`
 }
 
 // validateSweep resolves and validates everything a sweep query names:
@@ -506,7 +569,7 @@ func (s *Server) evaluate(ctx context.Context, ens *ensembleEntry, universe []st
 	out := make([]outcomeJSON, len(configs))
 	esp := obs.SpanFromContext(ctx).StartChild("evaluate")
 	err = engine.ForEachCtx(obs.ContextWithSpan(ctx, esp), s.opt.Workers, len(configs), func(i int) error {
-		p, err := v.cell(configs[i], capability)
+		p, err := v.cell(&s.evals, configs[i], capability)
 		if err != nil {
 			return err
 		}
@@ -534,21 +597,32 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) error {
 	if err != nil {
 		return err
 	}
-	return writeJSONTraced(ctx, w, map[string]any{
-		"figure":    fig.ID,
-		"title":     fig.Title,
-		"ensemble":  ens.name,
-		"scenario":  fig.Scenario.String(),
-		"placement": placementJSON{fig.Placement.Primary, fig.Placement.Second, fig.Placement.DataCenter},
-		"outcomes":  outcomes,
+	return writeJSONTraced(ctx, w, figureJSON{
+		Ensemble:  ens.name,
+		Figure:    fig.ID,
+		Outcomes:  outcomes,
+		Placement: placementJSON{fig.Placement.Primary, fig.Placement.Second, fig.Placement.DataCenter},
+		Scenario:  fig.Scenario.String(),
+		Title:     fig.Title,
 	})
+}
+
+// figureJSON is the figure answer.
+type figureJSON struct {
+	Ensemble  string        `json:"ensemble"`
+	Figure    int           `json:"figure"`
+	Outcomes  []outcomeJSON `json:"outcomes"`
+	Placement placementJSON `json:"placement"`
+	Scenario  string        `json:"scenario"`
+	Title     string        `json:"title"`
 }
 
 // validateFigure resolves and validates a figure query: the figure ID,
 // the ensemble, and the figure's standard configurations and universe.
 func (s *Server) validateFigure(r *http.Request) (*ensembleEntry, analysis.Figure, []topology.Config, []string, error) {
 	var zero analysis.Figure
-	if err := checkParams(r, "ensemble"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, figureParams...); err != nil {
 		return nil, zero, nil, nil, err
 	}
 	id, err := strconv.Atoi(r.PathValue("id"))
@@ -559,7 +633,7 @@ func (s *Server) validateFigure(r *http.Request) (*ensembleEntry, analysis.Figur
 	if err != nil {
 		return nil, zero, nil, nil, notFoundf("%v", err)
 	}
-	ens, err := s.ensemble(r.URL.Query().Get("ensemble"))
+	ens, err := s.ensemble(q.Get("ensemble"))
 	if err != nil {
 		return nil, zero, nil, nil, err
 	}
@@ -595,31 +669,39 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) error {
 	if pq.limit > 0 && pq.limit < len(candidates) {
 		candidates = candidates[:pq.limit]
 	}
-	type candidateJSON struct {
-		Placement     placementJSON      `json:"placement"`
-		Score         float64            `json:"score"`
-		Probabilities map[string]float64 `json:"probabilities"`
-	}
 	out := make([]candidateJSON, len(candidates))
 	for i, c := range candidates {
-		probs := make(map[string]float64, 4)
-		for _, st := range opstate.States() {
-			probs[st.String()] = c.Outcome.Profile.Probability(st)
-		}
 		out[i] = candidateJSON{
 			Placement:     placementJSON{c.Placement.Primary, c.Placement.Second, c.Placement.DataCenter},
 			Score:         c.Score,
-			Probabilities: probs,
+			Probabilities: renderProbabilities(c.Outcome.Profile),
 		}
 	}
-	return writeJSONTraced(ctx, w, map[string]any{
-		"ensemble":         pq.ens.name,
-		"scenario":         pq.scenario.String(),
-		"primary":          pq.primary,
-		"objective":        pq.objName,
-		"total_candidates": total,
-		"candidates":       out,
+	return writeJSONTraced(ctx, w, placementAnswerJSON{
+		Candidates:      out,
+		Ensemble:        pq.ens.name,
+		Objective:       pq.objName,
+		Primary:         pq.primary,
+		Scenario:        pq.scenario.String(),
+		TotalCandidates: total,
 	})
+}
+
+// candidateJSON is one ranked placement of the placement answer.
+type candidateJSON struct {
+	Placement     placementJSON      `json:"placement"`
+	Score         float64            `json:"score"`
+	Probabilities stateProbabilities `json:"probabilities"`
+}
+
+// placementAnswerJSON is the placement answer.
+type placementAnswerJSON struct {
+	Candidates      []candidateJSON `json:"candidates"`
+	Ensemble        string          `json:"ensemble"`
+	Objective       string          `json:"objective"`
+	Primary         string          `json:"primary"`
+	Scenario        string          `json:"scenario"`
+	TotalCandidates int             `json:"total_candidates"`
 }
 
 // placementQuery is one validated /v1/placement query: everything
@@ -641,10 +723,10 @@ type placementQuery struct {
 // serving layer only swaps the evaluation path for the cached view).
 func (s *Server) validatePlacement(r *http.Request) (placementQuery, error) {
 	var pq placementQuery
-	if err := checkParams(r, "ensemble", "primary", "scenario", "data_center", "objective", "limit"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, placementParams...); err != nil {
 		return pq, err
 	}
-	q := r.URL.Query()
 	ens, err := s.ensemble(q.Get("ensemble"))
 	if err != nil {
 		return pq, err
@@ -720,7 +802,7 @@ func (s *Server) evaluatePlacements(ctx context.Context, ens *ensembleEntry, uni
 	out := make([]placement.Candidate, len(placements))
 	esp := obs.SpanFromContext(ctx).StartChild("evaluate")
 	err = engine.ForEachCtx(obs.ContextWithSpan(ctx, esp), s.opt.Workers, len(placements), func(i int) error {
-		p, err := v.cell(configs[i], capability)
+		p, err := v.cell(&s.evals, configs[i], capability)
 		if err != nil {
 			return err
 		}

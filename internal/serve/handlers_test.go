@@ -6,6 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"compoundthreat/internal/obs"
+	"compoundthreat/internal/opstate"
+	"compoundthreat/internal/racetest"
+	"compoundthreat/internal/stats"
+	"compoundthreat/internal/threat"
+	"compoundthreat/internal/topology"
 )
 
 // errCode decodes the documented error envelope and returns its code.
@@ -116,5 +123,67 @@ func TestErrorsCounted(t *testing.T) {
 	get(t, s.Handler(), "/v1/figure/5")
 	if v := rec.Counter("serve.errors").Value(); v != 2 {
 		t.Errorf("serve.errors = %d, want 2", v)
+	}
+}
+
+// TestSweepCachedAllocs is the allocation gate of the warm sweep path
+// (BenchmarkServeSweepCached without the timing): validation, cache
+// hit, five cells and the typed encoder take at most 60 allocations.
+// Workers is pinned to 2 so the count includes the evaluation fan-out
+// whatever the host's processor count.
+func TestSweepCachedAllocs(t *testing.T) {
+	if racetest.Enabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	e, inv := fixture(t)
+	obs.Enable(nil)
+	s, err := New(map[string]Ensemble{"oahu": e}, inv, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const url = "/v1/sweep?scenario=both"
+	if code, _ := get(t, s.Handler(), url); code != http.StatusOK {
+		t.Fatal("warmup failed")
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		req := httptest.NewRequest(http.MethodGet, url, nil)
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("sweep = %d", w.Code)
+		}
+	})
+	if allocs > 60 {
+		t.Errorf("cached sweep allocates %v per request, want at most 60", allocs)
+	}
+}
+
+// TestOutcomeCoversEveryState checks that the typed outcome renders one
+// count and one probability for each operational state, under the
+// state's own name, so a new state cannot be dropped from answers
+// silently.
+func TestOutcomeCoversEveryState(t *testing.T) {
+	p := stats.NewProfile()
+	for i, st := range opstate.States() {
+		p.AddN(st, i+1)
+	}
+	raw, err := json.Marshal(renderOutcome(topology.Config{Name: "6-6"}, threat.Hurricane, p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Counts        map[string]int     `json:"counts"`
+		Probabilities map[string]float64 `json:"probabilities"`
+	}
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Counts) != len(opstate.States()) || len(got.Probabilities) != len(opstate.States()) {
+		t.Fatalf("rendered %d counts and %d probabilities for %d states: %s", len(got.Counts), len(got.Probabilities), len(opstate.States()), raw)
+	}
+	for _, st := range opstate.States() {
+		if got.Counts[st.String()] != p.Count(st) || got.Probabilities[st.String()] != p.Probability(st) {
+			t.Errorf("state %s: rendered %d / %v, profile %d / %v", st, got.Counts[st.String()], got.Probabilities[st.String()], p.Count(st), p.Probability(st))
+		}
 	}
 }

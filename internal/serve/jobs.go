@@ -455,7 +455,7 @@ func (s *Server) startJob(j *job, kreq placement.KRequest) {
 // ---- GET /v1/placement/jobs/{id} ----
 
 func (s *Server) handlePlacementJob(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	id := r.PathValue("id")

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -198,14 +199,39 @@ func universeIdentity(universe []string) string {
 // ResponseKey is the full response identity of a read: method, path,
 // canonical query (q as the shape function parsed it), and body. Two
 // requests over the same ensemble content with equal response keys are
-// the same read and may share one answer.
+// the same read and may share one answer. The query is canonical up to
+// key order: keys are sorted, each key's values keep their order, and
+// every key and value is written length-prefixed, so no two distinct
+// queries render alike and nothing needs escaping.
 func ResponseKey(method, path string, q url.Values, body []byte) string {
+	var stack [8]string
+	keys := stack[:0]
+	size := len(method) + len(path) + len(body) + 3
+	for k, vs := range q {
+		keys = append(keys, k)
+		for _, v := range vs {
+			size += len(k) + len(v) + 8
+		}
+	}
+	slices.Sort(keys)
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString(method)
 	b.WriteByte(' ')
 	b.WriteString(path)
 	b.WriteByte('?')
-	b.WriteString(q.Encode()) // Encode sorts by key
+	field := func(s string) {
+		var n [20]byte
+		b.Write(strconv.AppendInt(n[:0], int64(len(s)), 10))
+		b.WriteByte(':')
+		b.WriteString(s)
+	}
+	for _, k := range keys {
+		for _, v := range q[k] {
+			field(k)
+			field(v)
+		}
+	}
 	if len(body) > 0 {
 		b.WriteByte('\n')
 		b.Write(body)

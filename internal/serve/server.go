@@ -16,6 +16,7 @@ import (
 
 	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/assets"
+	"compoundthreat/internal/engine"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/store"
 )
@@ -37,7 +38,7 @@ type Ensemble interface {
 type Options struct {
 	// Workers bounds engine parallelism inside a single query
 	// (placement sweeps fan candidate evaluation out over it).
-	// 0 = runtime.NumCPU().
+	// 0 = runtime.GOMAXPROCS(0).
 	Workers int
 	// MaxInflight bounds concurrently evaluating queries; excess
 	// requests queue until a slot frees or their deadline expires.
@@ -90,7 +91,7 @@ type Options struct {
 // defaults materializes the documented zero-value defaults.
 func (o Options) defaults() Options {
 	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
+		o.Workers = engine.Workers(0)
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 2 * runtime.NumCPU()
@@ -159,6 +160,7 @@ type Server struct {
 	names     []string // sorted ensemble names
 
 	cache   *viewCache
+	evals   engine.EvaluatorPool // shared by every cached view
 	jobs    *jobRegistry
 	uploads *uploadState
 	genjobs *genRegistry

@@ -432,9 +432,11 @@ func (u *uploadState) headroom(client string) error {
 	return nil
 }
 
-// clientKey identifies the quota principal: the X-Client-ID header when
-// set (trimmed, capped), else the remote host.
-func clientKey(r *http.Request) string {
+// ClientKey identifies the quota principal: the X-Client-ID header when
+// set (trimmed, capped), else the remote host. The router forwards it
+// as the X-Client-ID of every proxied request, so a client behind the
+// router is charged as itself, not as the router's address.
+func ClientKey(r *http.Request) string {
 	if id := strings.TrimSpace(r.Header.Get("X-Client-ID")); id != "" {
 		if len(id) > 64 {
 			id = id[:64]
@@ -479,7 +481,7 @@ func (s *Server) handleTopologyUpload(w http.ResponseWriter, r *http.Request) er
 	if _, ok := s.uploads.topology(t.id); ok {
 		return writeJSONStatus(w, http.StatusOK, topologyResponse(t, false))
 	}
-	if err := s.uploads.charge(clientKey(r), 1, int64(len(t.canonical))); err != nil {
+	if err := s.uploads.charge(ClientKey(r), 1, int64(len(t.canonical))); err != nil {
 		return err
 	}
 	if st := s.opt.Store; st != nil {
@@ -507,7 +509,7 @@ func topologyResponse(t *uploadedTopology, created bool) map[string]any {
 // ---- GET /v1/topologies ----
 
 func (s *Server) handleTopologyList(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	list := s.uploads.topologyList()

@@ -53,7 +53,7 @@ const JobEnvelopeVersion = 1
 // server accepts work, 503 with the shutting_down envelope once Close
 // has run. Liveness plus inventory lives at /v1/healthz.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	if s.closed.Load() {
@@ -68,7 +68,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 // its shape, and the ensemble it belongs to — what a successor would
 // receive from a handoff, in the order it would receive it.
 func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	snap := s.cache.snapshot()
@@ -106,10 +106,11 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
 // handleViewExport streams one cached view in wire format. The key is
 // the cache key exactly as /v1/views lists it.
 func (s *Server) handleViewExport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r, "key"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, "key"); err != nil {
 		return err
 	}
-	key := r.URL.Query().Get("key")
+	key := q.Get("key")
 	if key == "" {
 		return badRequestf("key parameter required")
 	}
@@ -131,13 +132,14 @@ func (s *Server) handleViewExport(w http.ResponseWriter, r *http.Request) error 
 // matrix must cover exactly the key's universe over that ensemble's
 // realization count. An already-present key is not overwritten.
 func (s *Server) handleViewImport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r, "key"); err != nil {
+	q := r.URL.Query()
+	if err := checkParams(q, "key"); err != nil {
 		return err
 	}
 	if s.closed.Load() {
 		return errShuttingDown()
 	}
-	key := r.URL.Query().Get("key")
+	key := q.Get("key")
 	if key == "" {
 		return badRequestf("key parameter required")
 	}
@@ -376,7 +378,7 @@ func jobFromEnvelope(env jobEnvelope) (*job, error) {
 // handleJobsExport lists every finished (done) placement job as a
 // versioned envelope, oldest first.
 func (s *Server) handleJobsExport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r); err != nil {
+	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
 	envs := s.jobs.exportDone()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -26,7 +27,8 @@ const maxBackendBody = 16 << 20
 // health responses, and its per-backend instruments.
 type backend struct {
 	index int
-	base  string // "http://host:port", no trailing slash
+	base  string   // "http://host:port", no trailing slash
+	url   *url.URL // base, parsed once in New; every request copies it
 	hc    *http.Client
 
 	// indexStr and spanName are the index pre-rendered for trace
@@ -42,10 +44,22 @@ type backend struct {
 	errors   *obs.Counter
 }
 
-func newBackend(index int, base string, hc *http.Client, rec *obs.Recorder) *backend {
+// newBackend parses the base URL once; an unparsable or host-less base
+// is a configuration error reported at start-up, not a 503 on every
+// routed request.
+func newBackend(index int, base string, hc *http.Client, rec *obs.Recorder) (*backend, error) {
+	base = strings.TrimSuffix(base, "/")
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, fmt.Errorf("shard: backend %d: %w", index, err)
+	}
+	if u.Host == "" || (u.Scheme != "http" && u.Scheme != "https") {
+		return nil, fmt.Errorf("shard: backend %d: %q is not an http(s)://host:port URL", index, base)
+	}
 	b := &backend{
 		index:    index,
-		base:     strings.TrimSuffix(base, "/"),
+		base:     base,
+		url:      u,
 		hc:       hc,
 		indexStr: strconv.Itoa(index),
 		spanName: "backend." + strconv.Itoa(index),
@@ -54,7 +68,7 @@ func newBackend(index int, base string, hc *http.Client, rec *obs.Recorder) *bac
 	}
 	empty := map[string]string{}
 	b.ensembles.Store(&empty)
-	return b
+	return b, nil
 }
 
 // forwardedHeaders are the backend response headers the router replays
@@ -63,25 +77,62 @@ func newBackend(index int, base string, hc *http.Client, rec *obs.Recorder) *bac
 // responses stay navigable to the worker-side job trace).
 var forwardedHeaders = []string{serve.CodecVersionHeader, serve.JobTraceHeader}
 
-// forward replays one client request against this backend and buffers
-// the response. A non-nil error means the backend did not produce a
-// response (transport failure) — the caller should fail over; an HTTP
-// error status comes back as a response for the caller to classify.
-func (b *backend) forward(ctx context.Context, method, path, rawQuery, contentType string, body []byte) (*response, error) {
-	u := b.base + path
-	if rawQuery != "" {
-		u += "?" + rawQuery
+// call is one client request as the router replays it to a backend.
+type call struct {
+	method, path, rawQuery string
+	contentType            string
+	// client is the quota principal (serve.ClientKey): the client's
+	// X-Client-ID, or its host when the header is absent.
+	client string
+	body   []byte
+}
+
+// newCall captures what the router replays of r, with body as the
+// already-buffered request body (nil for none).
+func newCall(r *http.Request, body []byte) call {
+	return call{
+		method:      r.Method,
+		path:        r.URL.Path,
+		rawQuery:    r.URL.RawQuery,
+		contentType: r.Header.Get("Content-Type"),
+		client:      serve.ClientKey(r),
+		body:        body,
 	}
+}
+
+// request builds a request for path?rawQuery on this backend from the
+// URL parsed in New, so building one parses no URL.
+func (b *backend) request(ctx context.Context, method, path, rawQuery string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, u, rd)
+	req, err := http.NewRequestWithContext(ctx, method, "", rd)
 	if err != nil {
 		return nil, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	*req.URL = *b.url
+	req.URL.Path += path
+	req.URL.RawPath = ""
+	req.URL.RawQuery = rawQuery
+	req.Host = req.URL.Host
+	return req, nil
+}
+
+// forward replays one client request against this backend and buffers
+// the response. A non-nil error means the backend did not produce a
+// response (transport failure) — the caller should fail over; an HTTP
+// error status comes back as a response for the caller to classify.
+func (b *backend) forward(ctx context.Context, c call) (*response, error) {
+	req, err := b.request(ctx, c.method, c.path, c.rawQuery, c.body)
+	if err != nil {
+		return nil, err
+	}
+	if c.contentType != "" {
+		req.Header.Set("Content-Type", c.contentType)
+	}
+	if c.client != "" {
+		req.Header.Set("X-Client-ID", c.client)
 	}
 	// Propagate the router's trace context so the worker adopts the
 	// same trace ID, with the current (client-call) span as the remote
@@ -97,14 +148,10 @@ func (b *backend) forward(ctx context.Context, method, path, rawQuery, contentTy
 		return nil, err
 	}
 	defer resp.Body.Close()
-	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxBackendBody+1))
+	buf, err := b.readBody(resp)
 	if err != nil {
 		b.errors.Inc()
 		return nil, err
-	}
-	if len(buf) > maxBackendBody {
-		b.errors.Inc()
-		return nil, fmt.Errorf("backend %d response exceeds %d bytes", b.index, maxBackendBody)
 	}
 	if resp.StatusCode/100 == 5 {
 		b.errors.Inc()
@@ -126,10 +173,38 @@ func (b *backend) forward(ctx context.Context, method, path, rawQuery, contentTy
 	return res, nil
 }
 
+// readBody buffers a backend response body of at most maxBackendBody
+// bytes. A declared Content-Length is read into a buffer of exactly
+// that size; a body of unknown length (chunked) goes through a bounded
+// ReadAll.
+func (b *backend) readBody(resp *http.Response) ([]byte, error) {
+	tooLarge := func() error {
+		return fmt.Errorf("backend %d response exceeds %d bytes", b.index, maxBackendBody)
+	}
+	if n := resp.ContentLength; n >= 0 {
+		if n > maxBackendBody {
+			return nil, tooLarge()
+		}
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	buf, err := io.ReadAll(io.LimitReader(resp.Body, maxBackendBody+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(buf) > maxBackendBody {
+		return nil, tooLarge()
+	}
+	return buf, nil
+}
+
 // scrapeMetrics fetches this backend's Prometheus exposition for the
 // fleet-wide metrics merge.
 func (b *backend) scrapeMetrics(ctx context.Context) (string, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+"/v1/metrics", nil)
+	req, err := b.request(ctx, http.MethodGet, "/v1/metrics", "", nil)
 	if err != nil {
 		return "", err
 	}
@@ -177,7 +252,7 @@ func (b *backend) probe(ctx context.Context) error {
 
 // getJSON fetches one backend endpoint and decodes a 200 JSON body.
 func (b *backend) getJSON(ctx context.Context, path string, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base+path, nil)
+	req, err := b.request(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
 		return err
 	}

@@ -27,9 +27,13 @@
 //     shard.batch_leaders and shard.batch_joined.
 //   - Retry and hedging: 2xx/4xx backend responses are deterministic
 //     verdicts returned as-is; 5xx and transport errors fail over to
-//     the next backend on the key's ring sequence. With a hedge delay
-//     configured, a slow primary races a second backend and the first
-//     verdict wins.
+//     the next backend on the key's ring sequence, one attempt after
+//     another on the handler goroutine. With a hedge delay configured,
+//     a slow primary races a second backend and the first verdict
+//     wins.
+//   - Client identity: every proxied request carries the client's
+//     serve.ClientKey as X-Client-ID, so workers charge upload quotas
+//     to the client, not to the router.
 //   - Job stickiness: async placement jobs are worker-local, so the
 //     router learns job_id → backend from 202 submissions and
 //     broadcasts polls for unknown or orphaned jobs (e.g. inherited

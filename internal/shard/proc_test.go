@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -588,4 +589,95 @@ func BenchmarkShardedSweepParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// missSweeps lists distinct sweep URLs over one compiled view: every
+// ordered config list containing 6+6+6 (whose asset universe is always
+// the default placement's) under every scenario, with each optional
+// parameter either left to its default or spelled out. No two share a
+// memo key, so each is a router miss until it has been sent twice.
+func missSweeps() []string {
+	var lists [][]string
+	var extend func(list []string, used map[string]bool)
+	extend = func(list []string, used map[string]bool) {
+		if used["6+6+6"] {
+			lists = append(lists, append([]string(nil), list...))
+		}
+		for _, cfg := range []string{"2", "2-2", "6", "6-6", "6+6+6"} {
+			if !used[cfg] {
+				used[cfg] = true
+				extend(append(list, cfg), used)
+				used[cfg] = false
+			}
+		}
+	}
+	extend(nil, map[string]bool{})
+	spelled := []struct{ key, value string }{
+		{"ensemble", "hurricane"}, {"primary", "honolulu-cc"}, {"second", "waiau-plant"}, {"data_center", "drfortress-dc"},
+	}
+	var urls []string
+	for _, list := range lists {
+		for _, scenario := range []string{"hurricane", "intrusion", "isolation", "both"} {
+			for mask := 0; mask < 1<<len(spelled); mask++ {
+				q := url.Values{"config": list, "scenario": {scenario}}
+				for i, p := range spelled {
+					if mask&(1<<i) != 0 {
+						q.Set(p.key, p.value)
+					}
+				}
+				urls = append(urls, "/v1/sweep?"+q.Encode())
+			}
+		}
+	}
+	return urls
+}
+
+// missURLs and missNext persist across the benchmark's b.N rounds, so
+// no round resends a URL an earlier round already sent.
+var (
+	missURLs []string
+	missNext int
+)
+
+// forgetSightings clears the memo's doorkeeper, so every URL is a
+// first sighting again and the next pass over missURLs stores nothing.
+func forgetSightings(m *memo) {
+	m.mu.Lock()
+	m.door = [memoDoorSize]uint64{}
+	m.mu.Unlock()
+}
+
+// BenchmarkShardedSweepRouterMiss measures the routed miss path: a
+// sweep the router's memo cannot answer, forwarded to the owning worker
+// and evaluated there over a warm compiled view. Every iteration sends
+// a sweep the memo has not sighted, all over the one view the cluster
+// warm-up compiles: the 16,704 URLs are sent in turn, and before each
+// pass over them the memo forgets its sightings, so none is ever
+// stored. Allocations are the router process's (plus the httptest
+// request and recorder), not the worker's.
+func BenchmarkShardedSweepRouterMiss(b *testing.B) {
+	c := benchCluster(b)
+	if missURLs == nil {
+		missURLs = missSweeps()
+	}
+	hits := c.rt.memo.hits.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if missNext%len(missURLs) == 0 {
+			b.StopTimer()
+			forgetSightings(c.rt.memo)
+			b.StartTimer()
+		}
+		u := missURLs[missNext%len(missURLs)]
+		missNext++
+		code, body, _ := roundTrip(c.rt.Handler(), http.MethodGet, u, "")
+		if code != http.StatusOK {
+			b.Fatalf("sweep %s: %d: %s", u, code, body)
+		}
+	}
+	b.StopTimer()
+	if got := c.rt.memo.hits.Value() - hits; got != 0 {
+		b.Fatalf("%d of %d iterations were memo hits; this benchmark must measure misses", got, b.N)
+	}
 }

@@ -144,7 +144,11 @@ func New(opt Options) (*Router, error) {
 			return nil, fmt.Errorf("shard: duplicate backend %s", base)
 		}
 		seen[base] = true
-		rt.backends = append(rt.backends, newBackend(i, base, hc, rec))
+		b, err := newBackend(i, base, hc, rec)
+		if err != nil {
+			return nil, err
+		}
+		rt.backends = append(rt.backends, b)
 	}
 	rt.routes()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -267,11 +271,7 @@ func (rt *Router) writeError(w http.ResponseWriter, err error) {
 	} else {
 		status, code = serve.ErrorStatus(err)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]any{
-		"error": map[string]string{"code": code, "message": err.Error()},
-	})
+	serve.WriteError(w, status, code, err.Error())
 }
 
 // writeResponse replays a buffered backend response to the client,
@@ -380,55 +380,79 @@ type attempt struct {
 // hedging enabled, a slow first candidate races the second and the
 // first verdict wins. Exhausting the pool is a backend_unavailable
 // verdict.
-func (rt *Router) fetch(ctx context.Context, cands []*backend, method, path, rawQuery, contentType string, body []byte, mayHedge bool) (*response, error) {
+//
+// Without an armed hedge (the default) nothing races, so each attempt
+// runs on the calling goroutine and failover is sequential: no
+// goroutine, channel or select per request. Only a hedged read starts
+// its attempts on goroutines. Both share the one failover loop below.
+func (rt *Router) fetch(ctx context.Context, cands []*backend, c call, mayHedge bool) (*response, error) {
 	if len(cands) == 0 {
 		return nil, errNoBackend("no backends configured")
 	}
-	ch := make(chan attempt, len(cands))
-	launched := 0
-	launch := func() {
-		b := cands[launched]
-		launched++
-		go func() {
-			res, err := rt.forwardSpanned(ctx, b, method, path, rawQuery, contentType, body)
-			ch <- attempt{res: res, err: err}
-		}()
-	}
-	launch()
-	var hedgeC <-chan time.Time
+	var (
+		ch     chan attempt // nil: attempts run inline
+		hedgeC <-chan time.Time
+		inline attempt // the inline attempt's outcome
+	)
 	if mayHedge && rt.opt.Hedge > 0 && len(cands) > 1 {
+		ch = make(chan attempt, len(cands))
 		t := time.NewTimer(rt.opt.Hedge)
 		defer t.Stop()
 		hedgeC = t.C
 	}
+	launched := 0
+	launch := func() {
+		b := cands[launched]
+		launched++
+		if ch == nil {
+			inline.res, inline.err = rt.forwardSpanned(ctx, b, c)
+			return
+		}
+		go func() {
+			res, err := rt.forwardSpanned(ctx, b, c)
+			ch <- attempt{res: res, err: err}
+		}()
+	}
+	launch()
 	var lastErr error
 	done := 0
 	for {
-		select {
-		case a := <-ch:
-			done++
-			if a.err == nil && serve.IsAPIErrorStatus(a.res.status) {
-				return a.res, nil
+		var a attempt
+		if ch == nil {
+			a = inline
+			// A transport failure past the deadline is the deadline's
+			// verdict, as when the select below sees ctx.Done first.
+			if a.err != nil && ctx.Err() != nil {
+				return nil, ctx.Err()
 			}
-			if a.err != nil {
-				lastErr = a.err
-			} else {
-				lastErr = fmt.Errorf("backend %d answered %d", a.res.backend, a.res.status)
+		} else {
+			select {
+			case a = <-ch:
+			case <-hedgeC:
+				hedgeC = nil
+				if launched < len(cands) {
+					rt.hedges.Inc()
+					launch()
+				}
+				continue
+			case <-ctx.Done():
+				return nil, ctx.Err()
 			}
-			if launched < len(cands) {
-				rt.retries.Inc()
-				launch()
-			} else if done == launched {
-				return nil, errNoBackend(fmt.Sprintf("all %d backends failed: %v", launched, lastErr))
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if launched < len(cands) {
-				rt.hedges.Inc()
-				launch()
-			}
-		case <-ctx.Done():
-			return nil, ctx.Err()
+		}
+		done++
+		if a.err == nil && serve.IsAPIErrorStatus(a.res.status) {
+			return a.res, nil
+		}
+		if a.err != nil {
+			lastErr = a.err
+		} else {
+			lastErr = fmt.Errorf("backend %d answered %d", a.res.backend, a.res.status)
+		}
+		if launched < len(cands) {
+			rt.retries.Inc()
+			launch()
+		} else if done == launched {
+			return nil, errNoBackend(fmt.Sprintf("all %d backends failed: %v", launched, lastErr))
 		}
 	}
 }
@@ -439,10 +463,10 @@ func (rt *Router) fetch(ctx context.Context, cands []*backend, method, path, raw
 // the traceparent parent, so the worker's trace splices back under
 // exactly this span. All span operations are nil no-ops with tracing
 // off, and the pre-rendered names mean the off path allocates nothing.
-func (rt *Router) forwardSpanned(ctx context.Context, b *backend, method, path, rawQuery, contentType string, body []byte) (*response, error) {
+func (rt *Router) forwardSpanned(ctx context.Context, b *backend, c call) (*response, error) {
 	sp := obs.SpanFromContext(ctx).StartChild(b.spanName)
 	sp.Annotate("backend", b.indexStr)
-	res, err := b.forward(obs.ContextWithSpan(ctx, sp), method, path, rawQuery, contentType, body)
+	res, err := b.forward(obs.ContextWithSpan(ctx, sp), c)
 	if sp != nil {
 		if err != nil {
 			sp.Annotate("error", "transport")
@@ -461,9 +485,9 @@ func (rt *Router) forwardSpanned(ctx context.Context, b *backend, method, path, 
 func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape serve.QueryShape, q url.Values, body []byte) error {
 	ctx := r.Context()
 	fp, key, owners := rt.resolve(shape)
-	contentType := r.Header.Get("Content-Type")
+	c := newCall(r, body)
 	if !shape.Batchable {
-		res, err := rt.fetch(ctx, rt.candidatesFor(key, owners), r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, false)
+		res, err := rt.fetch(ctx, rt.candidatesFor(key, owners), c, false)
 		if err != nil {
 			return err
 		}
@@ -483,7 +507,7 @@ func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape ser
 	sp := obs.SpanFromContext(ctx).StartChild("memo")
 	mctx := obs.ContextWithSpan(ctx, sp)
 	res, err := rt.memo.do(mctx, key+"\x1e"+serve.ResponseKey(r.Method, r.URL.Path, q, body), func() (*response, error) {
-		return rt.fetch(mctx, rt.candidatesFor(key, owners), r.Method, r.URL.Path, r.URL.RawQuery, contentType, body, true)
+		return rt.fetch(mctx, rt.candidatesFor(key, owners), c, true)
 	}, admit)
 	sp.End()
 	if err != nil {
@@ -573,7 +597,7 @@ func (rt *Router) handlePlacementSearch(w http.ResponseWriter, r *http.Request) 
 // resulting job's route from the 202 (created/coalesced) or 200
 // (already done) response.
 func (rt *Router) forwardSubmission(w http.ResponseWriter, r *http.Request, cands []*backend, body []byte) error {
-	res, err := rt.fetch(r.Context(), cands, r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body, false)
+	res, err := rt.fetch(r.Context(), cands, newCall(r, body), false)
 	if err != nil {
 		return err
 	}
@@ -595,10 +619,11 @@ func (rt *Router) forwardSubmission(w http.ResponseWriter, r *http.Request, cand
 // way).
 func (rt *Router) handleJobPoll(w http.ResponseWriter, r *http.Request) error {
 	id := r.PathValue("id")
+	c := newCall(r, nil)
 	if idx, ok := rt.jobs.lookup(id); ok {
 		b := rt.backends[idx]
 		if b.healthy.Load() {
-			res, err := rt.forwardSpanned(r.Context(), b, r.Method, r.URL.Path, r.URL.RawQuery, "", nil)
+			res, err := rt.forwardSpanned(r.Context(), b, c)
 			if err == nil && serve.IsAPIErrorStatus(res.status) && res.status != http.StatusNotFound {
 				return rt.writeResponse(w, res)
 			}
@@ -607,7 +632,7 @@ func (rt *Router) handleJobPoll(w http.ResponseWriter, r *http.Request) error {
 	var notFound *response
 	var lastErr error
 	for _, b := range rt.candidates("job\x1f" + id) {
-		res, err := rt.forwardSpanned(r.Context(), b, r.Method, r.URL.Path, r.URL.RawQuery, "", nil)
+		res, err := rt.forwardSpanned(r.Context(), b, c)
 		if err != nil {
 			lastErr = err
 			continue
@@ -659,7 +684,7 @@ func (rt *Router) handleTopologyUpload(w http.ResponseWriter, r *http.Request) e
 	if k, err := serve.TopologyUploadKey(body); err == nil {
 		key = k
 	}
-	res, err := rt.fetch(r.Context(), rt.candidates(key), r.Method, r.URL.Path, r.URL.RawQuery, r.Header.Get("Content-Type"), body, false)
+	res, err := rt.fetch(r.Context(), rt.candidates(key), newCall(r, body), false)
 	if err != nil {
 		return err
 	}
@@ -671,13 +696,14 @@ func (rt *Router) handleTopologyUpload(w http.ResponseWriter, r *http.Request) e
 // set), deduplicated by content id.
 func (rt *Router) handleTopologyList(w http.ResponseWriter, r *http.Request) error {
 	merged := map[string]map[string]any{}
+	c := newCall(r, nil)
 	answered := false
 	var lastErr error
 	for _, b := range rt.backends {
 		if !b.healthy.Load() {
 			continue
 		}
-		res, err := rt.forwardSpanned(r.Context(), b, http.MethodGet, r.URL.Path, r.URL.RawQuery, "", nil)
+		res, err := rt.forwardSpanned(r.Context(), b, c)
 		if err != nil {
 			lastErr = err
 			continue

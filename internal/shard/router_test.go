@@ -167,6 +167,14 @@ func newTestRouter(t *testing.T, opt Options, workers ...*fakeWorker) *Router {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	awaitHealthy(t, rt)
+	return rt
+}
+
+// awaitHealthy waits for the router's probes to mark every backend
+// healthy.
+func awaitHealthy(t *testing.T, rt *Router) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		healthy := 0
@@ -175,11 +183,11 @@ func newTestRouter(t *testing.T, opt Options, workers ...*fakeWorker) *Router {
 				healthy++
 			}
 		}
-		if healthy == len(workers) {
-			return rt
+		if healthy == len(rt.backends) {
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d backends healthy after 5s", healthy, len(workers))
+			t.Fatalf("only %d/%d backends healthy after 5s", healthy, len(rt.backends))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -478,5 +486,57 @@ func TestRouterHedging(t *testing.T) {
 	}
 	if rt.hedges.Value() == 0 {
 		t.Fatal("hedges counter did not move")
+	}
+}
+
+// TestNewRejectsBadBackends checks that a backend list the router
+// cannot route to fails at start-up instead of turning every routed
+// request into a 503.
+func TestNewRejectsBadBackends(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		backends []string
+		want     string // substring of the error; "" = accepted
+	}{
+		{"none", nil, "no backends"},
+		{"empty", []string{"127.0.0.1:1", " "}, "backend 1 is empty"},
+		{"duplicate", []string{"127.0.0.1:1", "http://127.0.0.1:1"}, "duplicate backend"},
+		{"unparsable", []string{"http://[::1"}, "backend 0"},
+		{"no host", []string{"http://"}, "not an http(s)://host:port URL"},
+		{"other scheme", []string{"ftp://127.0.0.1:1"}, "not an http(s)://host:port URL"},
+		{"bare host:port", []string{"127.0.0.1:1", "http://[::1]:2/"}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, err := New(Options{Backends: tc.backends, HealthInterval: time.Hour})
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("New(%q) = %v, want accepted", tc.backends, err)
+				}
+				rt.Close()
+				return
+			}
+			if err == nil {
+				rt.Close()
+				t.Fatalf("New(%q) accepted, want error containing %q", tc.backends, tc.want)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New(%q) = %v, want error containing %q", tc.backends, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRouterDeadline checks that an unhedged read whose backend
+// outlives the request deadline answers the typed 504 timeout, not a
+// backend_unavailable failover verdict.
+func TestRouterDeadline(t *testing.T) {
+	a := newFakeWorker(t, 0)
+	rt := newTestRouter(t, Options{Timeout: 50 * time.Millisecond}, a)
+	gate := make(chan struct{})
+	defer close(gate)
+	a.setGate(gate)
+	w := do(t, rt, http.MethodGet, "/v1/sweep", "")
+	if w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), `"timeout"`) {
+		t.Fatalf("stalled sweep: %d: %s, want 504 timeout", w.Code, w.Body.String())
 	}
 }
