@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race fmt-check fuzz-smoke bench-smoke bench-compress bench-serve bench-trace bench-placement bench-shard bench-generate bench-store bench-obs bench-smoke-all bench bench-check doc-check metric-check fleetbench-check verify
+.PHONY: all build test vet race race-stress fmt-check fuzz-smoke bench-smoke bench-compress bench-serve bench-trace bench-placement bench-shard bench-generate bench-store bench-obs bench-smoke-all bench bench-check doc-check metric-check fleetbench-check verify
 
 all: build
 
@@ -15,6 +15,13 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# Ten race-enabled runs of the concurrency tests: the job registry
+# (both job kinds), generation submit and Close, the router memo and
+# its batcher. One -race pass sees one interleaving; repeated runs
+# shake out the rarer ones.
+race-stress:
+	$(GO) test -race -count=10 -run 'Job|Ensemble(Submit|Close)|Memo|Batcher' ./internal/serve/ ./internal/shard/
 
 # Fail when any Go file is not gofmt-formatted; prints the offenders.
 fmt-check:
@@ -172,7 +179,8 @@ metric-check:
 fleetbench-check:
 	cd fleetbench && $(GO) vet ./... && $(GO) test ./...
 
-# The documented verification gate: vet, build, race-enabled tests,
-# documentation and metric-naming lints, the fleet-harness check, and
-# the benchmark smoke runs.
-verify: vet build race doc-check metric-check fleetbench-check bench-smoke-all
+# The documented verification gate: vet, build, race-enabled tests
+# (plus the repeated concurrency runs), documentation and
+# metric-naming lints, the fleet-harness check, and the benchmark
+# smoke runs.
+verify: vet build race race-stress doc-check metric-check fleetbench-check bench-smoke-all

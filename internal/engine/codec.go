@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+
+	"compoundthreat/internal/hash64"
 )
 
 // CompressedMatrixCodecVersion is the current wire-format version,
@@ -107,13 +109,13 @@ func EncodeCompressedMatrix(w io.Writer, c *CompressedMatrix) error {
 	} else {
 		byHash := make(map[uint64][]int, len(c.weights))
 		for d := 0; d < len(c.weights); d++ {
-			h := hashRow(c.bits[d*c.stride : (d+1)*c.stride])
+			h := hash64.Words(c.bits[d*c.stride : (d+1)*c.stride])
 			byHash[h] = append(byHash[h], d)
 		}
 	rows:
 		for r := 0; r < m.rows; r++ {
 			row := m.bits[r*m.stride : (r+1)*m.stride]
-			for _, d := range byHash[hashRow(row)] {
+			for _, d := range byHash[hash64.Words(row)] {
 				if equalRow(c.bits[d*c.stride:(d+1)*c.stride], row) {
 					buf = binary.AppendUvarint(buf, uint64(d))
 					continue rows
@@ -124,17 +126,6 @@ func EncodeCompressedMatrix(w io.Writer, c *CompressedMatrix) error {
 	}
 	_, err := w.Write(buf)
 	return err
-}
-
-// hashRow is the FNV-1a row hash Compress uses for grouping.
-func hashRow(row []uint64) uint64 {
-	h := uint64(fnv64Offset)
-	for _, w := range row {
-		for b := 0; b < 64; b += 8 {
-			h = (h ^ (w >> uint(b) & 0xff)) * fnv64Prime
-		}
-	}
-	return h
 }
 
 // DecodeCompressedMatrix reads one encoded view, reconstructing both

@@ -15,14 +15,8 @@ package engine
 import (
 	"errors"
 
+	"compoundthreat/internal/hash64"
 	"compoundthreat/internal/obs"
-)
-
-// fnv64Offset / fnv64Prime are the FNV-1a 64-bit parameters used to
-// hash rows during grouping.
-const (
-	fnv64Offset = 14695981039346656037
-	fnv64Prime  = 1099511628211
 )
 
 // CompressedMatrix is the deduplicated view of a FailureMatrix:
@@ -67,13 +61,7 @@ func Compress(m *FailureMatrix, workers int) *CompressedMatrix {
 	hashes := make([]uint64, m.rows)
 	hashRange := func(lo, hi int) {
 		for r := lo; r < hi; r++ {
-			h := uint64(fnv64Offset)
-			for _, w := range m.bits[r*m.stride : (r+1)*m.stride] {
-				for b := 0; b < 64; b += 8 {
-					h = (h ^ (w >> uint(b) & 0xff)) * fnv64Prime
-				}
-			}
-			hashes[r] = h
+			hashes[r] = hash64.Words(m.bits[r*m.stride : (r+1)*m.stride])
 		}
 	}
 	if workers = Workers(workers); workers > 1 && m.rows >= 2*workers {

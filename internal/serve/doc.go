@@ -39,6 +39,17 @@
 //     and body-size validation rejects malformed queries before they
 //     reach the engine.
 //
+// Long work runs as async jobs: k-site placement searches (POST
+// /v1/placement/search) and ensemble generation (POST /v1/ensembles).
+// One generic job registry serves both kinds — it coalesces identical
+// submissions by content key, keeps finished jobs pollable up to
+// Options.JobRetention, and cancels running jobs on Close — and one
+// runner gives each job its Options.JobTimeout deadline, its own
+// trace, a watcher that surfaces the deadline or Close at once, and
+// one inflight slot, so jobs and interactive queries share the same
+// work bound. A job kind adds only its fields, its work function and
+// the step that records its result.
+//
 // Concurrency invariants: ensembles and compiled views are immutable
 // after construction, so any number of handler goroutines read them
 // without locks; the only mutable shared state is the cache index

@@ -5,50 +5,35 @@ package serve
 // POST /v1/ensembles always submits a job and returns 202 with an id;
 // GET /v1/ensembles/jobs/{id} polls status and live realization
 // progress (wired off hazard's per-realization counter via
-// EnsembleConfig.Progress). The machinery mirrors the placement-job
-// registry in jobs.go: identical submissions coalesce by scenario
-// content id, the generation holds one inflight evaluation slot, jobs
-// run under their own trace and deadline, Close cancels running jobs
-// (drain-aware), and finished jobs stay pollable up to the retention
-// bound. On success the job commits: the ensemble blob persists to the
+// EnsembleConfig.Progress). Identical submissions coalesce by scenario
+// content id, and each generation runs under its own trace
+// ("ensemble.generate"); the registry and runner in registry.go do the
+// rest. On success the job commits: the ensemble blob persists to the
 // store (when configured), the client's quota is charged, and the
 // ensemble registers under "u-<scenario id>" for every read endpoint.
 
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"compoundthreat/internal/hazard"
 	"compoundthreat/internal/obs"
 )
 
-// genJob is one submitted generation run.
+// genJob is one submitted generation run; its content key is the
+// scenario content id.
 type genJob struct {
-	id         string
-	key        string // scenario content id
+	jobBase
 	ensName    string
 	topologyID string
 	total      int // requested realizations
-	created    time.Time
-	// traceID is the generation run's own trace ID ("" with tracing
-	// off); submitTrace links back to the submitting request. Both are
-	// written once, under the registry lock, before publication.
-	traceID     string
-	submitTrace string
 
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu       sync.Mutex
-	state    string
+	// doneReal and assets are guarded by jobBase.mu.
 	doneReal int
-	err      error
 	assets   int
 }
 
@@ -56,174 +41,6 @@ func (j *genJob) snapshot() (state string, doneReal int, assets int, err error) 
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.doneReal, j.assets, j.err
-}
-
-// genRegistry indexes generation jobs by id (polling) and by scenario
-// id (coalescing), with the same retention and shutdown semantics as
-// jobRegistry.
-type genRegistry struct {
-	retention int
-
-	mu       sync.Mutex
-	byID     map[string]*genJob
-	byKey    map[string]*genJob
-	finished []*genJob
-	closed   bool
-
-	submitted *obs.Counter
-	coalesced *obs.Counter
-	jdone     *obs.Counter
-	jfailed   *obs.Counter
-	jcanceled *obs.Counter
-	running   *obs.Gauge
-}
-
-func newGenRegistry(retention int) *genRegistry {
-	rec := obs.Default()
-	return &genRegistry{
-		retention: retention,
-		byID:      make(map[string]*genJob),
-		byKey:     make(map[string]*genJob),
-		submitted: rec.Counter("serve.genjobs_submitted"),
-		coalesced: rec.Counter("serve.genjobs_coalesced"),
-		jdone:     rec.Counter("serve.genjobs_done"),
-		jfailed:   rec.Counter("serve.genjobs_failed"),
-		jcanceled: rec.Counter("serve.genjobs_canceled"),
-		running:   rec.Gauge("serve.genjobs_running"),
-	}
-}
-
-// submit returns the job for key, creating it on first sight; the bool
-// reports a coalesced hit. Failed and canceled jobs leave the
-// coalescing index (finish), so resubmission retries.
-func (g *genRegistry) submit(key string, create func(id string) *genJob) (*genJob, bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return nil, false, errShuttingDown()
-	}
-	if j, ok := g.byKey[key]; ok {
-		g.coalesced.Inc()
-		return j, true, nil
-	}
-	id := jobID(key)
-	for {
-		prev, taken := g.byID[id]
-		if !taken || prev.key == key {
-			break
-		}
-		id = jobID(id)
-	}
-	j := create(id)
-	g.byID[id] = j
-	g.byKey[key] = j
-	g.submitted.Inc()
-	g.running.Inc()
-	return j, false, nil
-}
-
-func (g *genRegistry) get(id string) (*genJob, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j, ok := g.byID[id]
-	return j, ok
-}
-
-// ensureDone registers a synthetic finished job for an ensemble that
-// already exists (warm restart re-served it, or a previous process
-// generated it), so resubmitting clients can poll a consistent job id.
-func (g *genRegistry) ensureDone(key, ensName, topologyID string, total, assetCount int) *genJob {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if j, ok := g.byKey[key]; ok {
-		return j
-	}
-	id := jobID(key)
-	for {
-		prev, taken := g.byID[id]
-		if !taken || prev.key == key {
-			break
-		}
-		id = jobID(id)
-	}
-	j := &genJob{
-		id: id, key: key, ensName: ensName, topologyID: topologyID,
-		total: total, created: time.Now(), done: make(chan struct{}),
-		state: jobDone, doneReal: total, assets: assetCount,
-	}
-	close(j.done)
-	g.byID[id] = j
-	g.byKey[key] = j
-	g.appendFinishedLocked(j)
-	return j
-}
-
-// finish records a terminal state; first caller wins.
-func (g *genRegistry) finish(j *genJob, assetCount int, err error) {
-	j.mu.Lock()
-	if j.state != jobRunning {
-		j.mu.Unlock()
-		return
-	}
-	switch {
-	case err == nil:
-		j.state, j.assets, j.doneReal = jobDone, assetCount, j.total
-	case errors.Is(err, context.Canceled):
-		j.state, j.err = jobCanceled, err
-	default:
-		j.state, j.err = jobFailed, err
-	}
-	state := j.state
-	j.mu.Unlock()
-	close(j.done)
-
-	g.running.Dec()
-	switch state {
-	case jobDone:
-		g.jdone.Inc()
-	case jobCanceled:
-		g.jcanceled.Inc()
-	default:
-		g.jfailed.Inc()
-	}
-	g.mu.Lock()
-	if state != jobDone && g.byKey[j.key] == j {
-		delete(g.byKey, j.key)
-	}
-	g.appendFinishedLocked(j)
-	g.mu.Unlock()
-}
-
-// appendFinishedLocked retains j and evicts beyond the bound; callers
-// hold g.mu.
-func (g *genRegistry) appendFinishedLocked(j *genJob) {
-	g.finished = append(g.finished, j)
-	for len(g.finished) > g.retention {
-		old := g.finished[0]
-		g.finished = g.finished[1:]
-		delete(g.byID, old.id)
-		if g.byKey[old.key] == old {
-			delete(g.byKey, old.key)
-		}
-	}
-}
-
-// close stops accepting submissions and cancels running jobs.
-func (g *genRegistry) close() {
-	g.mu.Lock()
-	g.closed = true
-	var cancels []context.CancelFunc
-	for _, j := range g.byID {
-		j.mu.Lock()
-		if j.state == jobRunning && j.cancel != nil {
-			cancels = append(cancels, j.cancel)
-		}
-		j.mu.Unlock()
-	}
-	g.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
 }
 
 // ---- POST /v1/ensembles ----
@@ -248,7 +65,18 @@ func (s *Server) handleEnsembleSubmit(w http.ResponseWriter, r *http.Request) er
 	if ent, err := s.ensemble(ensName); err == nil {
 		// Already generated (this process or a warm restart): answer
 		// done immediately, with a pollable synthetic job.
-		j := s.genjobs.ensureDone(p.scenarioID, ensName, p.topologyID, p.cfg.Realizations, len(ent.assets))
+		j := s.genjobs.ensureDone(p.scenarioID, func(id string) *genJob {
+			j := &genJob{
+				jobBase:    jobBase{id: id, key: p.scenarioID, created: time.Now(), done: make(chan struct{}), state: jobDone},
+				ensName:    ensName,
+				topologyID: p.topologyID,
+				total:      p.cfg.Realizations,
+				doneReal:   p.cfg.Realizations,
+				assets:     len(ent.assets),
+			}
+			close(j.done)
+			return j
+		})
 		w.Header().Set("Location", "/v1/ensembles/jobs/"+j.id)
 		return writeJSONStatus(w, http.StatusOK, genSubmitResponse(j, true))
 	}
@@ -258,17 +86,34 @@ func (s *Server) handleEnsembleSubmit(w http.ResponseWriter, r *http.Request) er
 	client := ClientKey(r)
 	j, coalesced, err := s.genjobs.submit(p.scenarioID, func(id string) *genJob {
 		nj := &genJob{
-			id:          id,
-			key:         p.scenarioID,
-			ensName:     ensName,
-			topologyID:  p.topologyID,
-			total:       p.cfg.Realizations,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			state:       jobRunning,
-			submitTrace: obs.TraceFromContext(r.Context()).ID(),
+			jobBase: jobBase{
+				id:          id,
+				key:         p.scenarioID,
+				created:     time.Now(),
+				submitTrace: obs.TraceFromContext(r.Context()).ID(),
+				done:        make(chan struct{}),
+				state:       jobRunning,
+			},
+			ensName:    ensName,
+			topologyID: p.topologyID,
+			total:      p.cfg.Realizations,
 		}
-		s.startGenJob(nj, topo, p, client)
+		cfg := p.cfg
+		cfg.Workers = s.opt.Workers
+		cfg.Progress = func(done, total int) {
+			nj.mu.Lock()
+			nj.doneReal = done
+			nj.mu.Unlock()
+		}
+		var assets int
+		startJob(s, s.genjobs, nj, "ensemble.generate", func(ctx context.Context) error {
+			e, err := topo.gen.GenerateCtx(ctx, cfg)
+			if err != nil {
+				return err
+			}
+			assets = len(e.AssetIDs())
+			return s.commitEnsemble(nj, e, client)
+		}, func() { nj.assets, nj.doneReal = assets, nj.total })
 		return nj
 	})
 	if err != nil {
@@ -292,64 +137,6 @@ func genSubmitResponse(j *genJob, coalesced bool) map[string]any {
 		"topology":     j.topologyID,
 		"realizations": j.total,
 	}
-}
-
-// startGenJob launches the generation runner and its timeout watcher,
-// mirroring startJob: the runner holds one inflight evaluation slot so
-// generation and interactive queries share the same work bound, and
-// the watcher surfaces deadline/Close promptly. On success the runner
-// commits the ensemble — store, quota, registry — before finishing.
-func (s *Server) startGenJob(j *genJob, topo *uploadedTopology, p *ensembleParams, client string) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opt.JobTimeout)
-	j.cancel = cancel
-	// Own trace per job, linked to the submitting request's trace by
-	// annotation — see startJob for the rationale.
-	tr := s.tracer.Start("ensemble.generate")
-	if tr != nil {
-		ctx = obs.ContextWithSpan(obs.ContextWithTrace(ctx, tr), tr.Root())
-		j.traceID = tr.ID()
-		tr.Root().Annotate("job_id", j.id)
-		if j.submitTrace != "" {
-			tr.Root().Annotate("submit_trace_id", j.submitTrace)
-		}
-	}
-	cfg := p.cfg
-	cfg.Workers = s.opt.Workers
-	cfg.Progress = func(done, total int) {
-		j.mu.Lock()
-		j.doneReal = done
-		j.mu.Unlock()
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			err := ctx.Err()
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.timeouts.Inc()
-				err = fmt.Errorf("job exceeded its %v deadline: %w", s.opt.JobTimeout, err)
-			}
-			s.genjobs.finish(j, 0, err)
-		case <-j.done:
-		}
-	}()
-	go func() {
-		defer cancel()
-		release, err := s.acquire(ctx)
-		if err != nil {
-			s.genjobs.finish(j, 0, err)
-			tr.Finish()
-			return
-		}
-		e, err := topo.gen.GenerateCtx(ctx, cfg)
-		release()
-		if err != nil {
-			s.genjobs.finish(j, 0, err)
-			tr.Finish()
-			return
-		}
-		s.genjobs.finish(j, len(e.AssetIDs()), s.commitEnsemble(j, e, client))
-		tr.Finish()
-	}()
 }
 
 // commitEnsemble persists, charges, and registers one generated

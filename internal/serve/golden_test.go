@@ -2,11 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -63,4 +66,99 @@ func TestGoldenBodies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// ageSeconds matches the one field of a job poll body that depends on
+// wall time.
+var ageSeconds = regexp.MustCompile(`"age_seconds":[0-9.e+-]+`)
+
+// checkGolden compares body against testdata/<name>.json, with
+// age_seconds normalized, or rewrites the file under -update.
+func checkGolden(t *testing.T, name string, body []byte) {
+	t.Helper()
+	body = ageSeconds.ReplaceAll(body, []byte(`"age_seconds":0`))
+	path := filepath.Join("testdata", name+".json")
+	if *updateGolden {
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want) {
+		t.Errorf("body differs from %s:\n got: %s\nwant: %s", path, body, want)
+	}
+}
+
+// TestGoldenJobBodies pins the write-side answers byte for byte: the
+// placement-search submit and its done poll, the generation submit, its
+// done poll and the 200 resubmit of a generated ensemble, and the
+// topology upload, created and existing. Job ids derive from content
+// keys that embed ensemble fingerprints, so these bodies also pin the
+// hashes behind them. Every inflight slot is held across each submit,
+// so the 202 answers always report a running job.
+func TestGoldenJobBodies(t *testing.T) {
+	s, _ := newTestServer(t, Options{MaxInflight: 1})
+	h := s.Handler()
+	do := func(method, url, body string, code int) []byte {
+		t.Helper()
+		req := httptest.NewRequest(method, url, strings.NewReader(body))
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != code {
+			t.Fatalf("%s %s: status %d, want %d: %s", method, url, w.Code, code, w.Body.String())
+		}
+		return w.Body.Bytes()
+	}
+	submitHeld := func(url, body string) []byte {
+		t.Helper()
+		release, err := s.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer release()
+		return do(http.MethodPost, url, body, http.StatusAccepted)
+	}
+	jobID := func(body []byte) string {
+		t.Helper()
+		var v struct {
+			JobID string `json:"job_id"`
+		}
+		if err := json.Unmarshal(body, &v); err != nil || v.JobID == "" {
+			t.Fatalf("no job_id in %s (%v)", body, err)
+		}
+		return v.JobID
+	}
+
+	sub := submitHeld("/v1/placement/search", `{"k":2,"exact":true}`)
+	checkGolden(t, "job_submit", sub)
+	id := jobID(sub)
+	if done := pollJob(t, h, id); done["status"] != jobDone {
+		t.Fatalf("placement job finished %v", done["status"])
+	}
+	checkGolden(t, "job_poll_done", do(http.MethodGet, "/v1/placement/jobs/"+id, "", http.StatusOK))
+
+	doc := testTopologyJSON("golden-island")
+	created := do(http.MethodPost, "/v1/topologies", doc, http.StatusCreated)
+	checkGolden(t, "topology_created", created)
+	checkGolden(t, "topology_existing", do(http.MethodPost, "/v1/topologies", doc, http.StatusOK))
+	var topo struct {
+		ID string `json:"topology_id"`
+	}
+	if err := json.Unmarshal(created, &topo); err != nil {
+		t.Fatal(err)
+	}
+
+	params := testEnsembleJSON(topo.ID, 8, 5)
+	gsub := submitHeld("/v1/ensembles", params)
+	checkGolden(t, "genjob_submit", gsub)
+	gid := jobID(gsub)
+	if done := awaitGenJob(t, h, gid); done["status"] != jobDone {
+		t.Fatalf("generation job finished %v", done["status"])
+	}
+	checkGolden(t, "genjob_poll_done", do(http.MethodGet, "/v1/ensembles/jobs/"+gid, "", http.StatusOK))
+	checkGolden(t, "genjob_resubmit", do(http.MethodPost, "/v1/ensembles", params, http.StatusOK))
 }

@@ -6,14 +6,11 @@ package serve
 // with an id, and GET /v1/placement/jobs/{id} polls status, live
 // progress (evaluated, pruned, current best), and the final result.
 //
-// Jobs reuse the serving substrate: validation is synchronous (bad
-// requests fail at submit, not asynchronously), identical submissions
-// coalesce onto one running job by content key (ensemble fingerprint
-// plus the full search shape), the evaluation holds one inflight slot
-// so jobs and interactive queries share the same work bound, and each
-// job runs under its own trace ("placement.job"). Failed and canceled
-// jobs leave the coalescing index so a resubmission retries; finished
-// jobs are retained (bounded by Options.JobRetention) for polling.
+// Validation is synchronous (bad requests fail at submit, not
+// asynchronously), identical submissions coalesce onto one job by
+// content key (ensemble fingerprint plus the full search shape), and
+// each job runs under its own trace ("placement.job"); the registry
+// and runner in registry.go do the rest.
 
 import (
 	"context"
@@ -22,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"compoundthreat/internal/obs"
@@ -30,193 +26,31 @@ import (
 	"compoundthreat/internal/threat"
 )
 
-// Job states as reported by the poll endpoint.
-const (
-	jobRunning  = "running"
-	jobDone     = "done"
-	jobFailed   = "failed"
-	jobCanceled = "canceled"
-)
-
-// JobTraceHeader carries a job's execution trace ID on submit and poll
-// responses, so submit → run → poll is one navigable story: the client
-// reads the header and fetches GET /v1/traces/{id} for the job run.
-// The router forwards it verbatim.
-const JobTraceHeader = "X-Job-Trace-Id"
-
 // job is one submitted k-site search.
 type job struct {
-	id       string
-	key      string
+	jobBase
 	ensName  string
 	scenario threat.Scenario
 	objName  string
 	k        int
 	exact    bool
-	created  time.Time
-	// traceID is the job execution's own trace ID ("" with tracing
-	// off); submitTrace links back to the request that submitted the
-	// job. Both are written once before the job is published.
-	traceID     string
-	submitTrace string
 
-	cancel context.CancelFunc
-	done   chan struct{}
-
-	mu       sync.Mutex
-	state    string
+	// progress and result are guarded by jobBase.mu.
 	progress placement.KProgress
 	result   *placement.KResult
-	err      error
 }
 
-// snapshotLocked must be called with j.mu held.
+// snapshot reads the job's mutable state under its lock.
 func (j *job) snapshot() (state string, progress placement.KProgress, result *placement.KResult, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state, j.progress, j.result, j.err
 }
 
-// jobRegistry indexes jobs by id (polling) and by content key
-// (coalescing), retains finished jobs up to a bound, and owns the
-// shutdown handshake.
-type jobRegistry struct {
-	retention int
-
-	mu       sync.Mutex
-	byID     map[string]*job
-	byKey    map[string]*job
-	finished []*job // eviction order, oldest first
-	closed   bool
-
-	submitted *obs.Counter
-	coalesced *obs.Counter
-	jdone     *obs.Counter
-	jfailed   *obs.Counter
-	jcanceled *obs.Counter
-	running   *obs.Gauge
-}
-
-func newJobRegistry(retention int) *jobRegistry {
-	rec := obs.Default()
-	return &jobRegistry{
-		retention: retention,
-		byID:      make(map[string]*job),
-		byKey:     make(map[string]*job),
-		submitted: rec.Counter("serve.jobs_submitted"),
-		coalesced: rec.Counter("serve.jobs_coalesced"),
-		jdone:     rec.Counter("serve.jobs_done"),
-		jfailed:   rec.Counter("serve.jobs_failed"),
-		jcanceled: rec.Counter("serve.jobs_canceled"),
-		running:   rec.Gauge("serve.jobs_running"),
-	}
-}
-
-// errShuttingDown rejects submissions after Close.
-func errShuttingDown() error {
-	return &apiError{status: http.StatusServiceUnavailable, code: "shutting_down", message: "server is shutting down"}
-}
-
-// submit returns the job for key, creating it with create on first
-// sight. The bool reports whether the submission coalesced onto an
-// existing job.
-func (g *jobRegistry) submit(key string, create func(id string) *job) (*job, bool, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return nil, false, errShuttingDown()
-	}
-	if j, ok := g.byKey[key]; ok {
-		g.coalesced.Inc()
-		return j, true, nil
-	}
-	id := jobID(key)
-	for {
-		prev, taken := g.byID[id]
-		if !taken || prev.key == key {
-			break
-		}
-		// A different key landed on this id (astronomically unlikely):
-		// re-hash until free.
-		id = jobID(id)
-	}
-	j := create(id)
-	g.byID[id] = j
-	g.byKey[key] = j
-	g.submitted.Inc()
-	g.running.Inc()
-	return j, false, nil
-}
-
-// jobID derives a stable id from the content key (FNV-1a, rendered as
-// 16 hex digits), so resubmitting the same search names the same job.
-func jobID(key string) string {
-	h := uint64(fnv64Offset)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnv64Prime
-	}
-	return fmt.Sprintf("%016x", h)
-}
-
-// get returns the job by id.
-func (g *jobRegistry) get(id string) (*job, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	j, ok := g.byID[id]
-	return j, ok
-}
-
-// finish records a job's terminal state. Idempotent: the first caller
-// (the runner or the timeout watcher) wins. Failed and canceled jobs
-// leave the coalescing index so identical resubmissions retry; done
-// jobs stay coalescable as a result cache until retention evicts them.
-func (g *jobRegistry) finish(j *job, res *placement.KResult, err error) {
-	j.mu.Lock()
-	if j.state != jobRunning {
-		j.mu.Unlock()
-		return
-	}
-	switch {
-	case err == nil:
-		j.state, j.result = jobDone, res
-	case errors.Is(err, context.Canceled):
-		j.state, j.err = jobCanceled, err
-	default:
-		j.state, j.err = jobFailed, err
-	}
-	state := j.state
-	j.mu.Unlock()
-	close(j.done)
-
-	g.running.Dec()
-	switch state {
-	case jobDone:
-		g.jdone.Inc()
-	case jobCanceled:
-		g.jcanceled.Inc()
-	default:
-		g.jfailed.Inc()
-	}
-	g.mu.Lock()
-	if state != jobDone && g.byKey[j.key] == j {
-		delete(g.byKey, j.key)
-	}
-	g.finished = append(g.finished, j)
-	for len(g.finished) > g.retention {
-		old := g.finished[0]
-		g.finished = g.finished[1:]
-		delete(g.byID, old.id)
-		if g.byKey[old.key] == old {
-			delete(g.byKey, old.key)
-		}
-	}
-	g.mu.Unlock()
-}
-
-// exportDone renders every finished (done) job as a wire envelope,
-// oldest first — the handoff order, so retention eviction on the
-// receiving side keeps the newest results.
-func (g *jobRegistry) exportDone() []jobEnvelope {
+// exportDone renders every finished (done) placement job as a wire
+// envelope, oldest first — the handoff order, so retention eviction on
+// the receiving side keeps the newest results.
+func exportDone(g *registry[*job]) []jobEnvelope {
 	g.mu.Lock()
 	finished := append([]*job(nil), g.finished...)
 	g.mu.Unlock()
@@ -227,65 +61,6 @@ func (g *jobRegistry) exportDone() []jobEnvelope {
 		}
 	}
 	return out
-}
-
-// importDone registers an inherited finished job for polling and — by
-// content key — as a coalescing result-cache hit, exactly like a
-// locally finished job. Existing ids and keys win over imports; the
-// registry's retention bound applies as usual.
-func (g *jobRegistry) importDone(j *job) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.closed {
-		return false
-	}
-	if _, taken := g.byID[j.id]; taken {
-		return false
-	}
-	if _, taken := g.byKey[j.key]; taken {
-		return false
-	}
-	g.byID[j.id] = j
-	g.byKey[j.key] = j
-	g.finished = append(g.finished, j)
-	for len(g.finished) > g.retention {
-		old := g.finished[0]
-		g.finished = g.finished[1:]
-		delete(g.byID, old.id)
-		if g.byKey[old.key] == old {
-			delete(g.byKey, old.key)
-		}
-	}
-	return true
-}
-
-// close stops accepting submissions and cancels every running job.
-func (g *jobRegistry) close() {
-	g.mu.Lock()
-	g.closed = true
-	var cancels []context.CancelFunc
-	for _, j := range g.byID {
-		j.mu.Lock()
-		if j.state == jobRunning {
-			cancels = append(cancels, j.cancel)
-		}
-		j.mu.Unlock()
-	}
-	g.mu.Unlock()
-	for _, c := range cancels {
-		c()
-	}
-}
-
-// Close cancels all running placement and generation jobs and rejects
-// new submissions and uploads; poll endpoints keep answering (canceled
-// jobs report their state) and /v1/readyz starts failing. Call after
-// Run returns, before process exit, so job goroutines stop
-// deterministically.
-func (s *Server) Close() {
-	s.closed.Store(true)
-	s.jobs.close()
-	s.genjobs.close()
 }
 
 // ---- POST /v1/placement/search ----
@@ -359,19 +134,30 @@ func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) e
 		strings.Join(cands, "\x1f"))
 	j, coalesced, err := s.jobs.submit(key, func(id string) *job {
 		nj := &job{
-			id:          id,
-			key:         key,
-			ensName:     ens.name,
-			scenario:    scenario,
-			objName:     objName,
-			k:           req.K,
-			exact:       req.Exact,
-			created:     time.Now(),
-			done:        make(chan struct{}),
-			state:       jobRunning,
-			submitTrace: obs.TraceFromContext(r.Context()).ID(),
+			jobBase: jobBase{
+				id:          id,
+				key:         key,
+				created:     time.Now(),
+				submitTrace: obs.TraceFromContext(r.Context()).ID(),
+				done:        make(chan struct{}),
+				state:       jobRunning,
+			},
+			ensName:  ens.name,
+			scenario: scenario,
+			objName:  objName,
+			k:        req.K,
+			exact:    req.Exact,
 		}
-		s.startJob(nj, kreq)
+		kreq.Progress = func(p placement.KProgress) {
+			nj.mu.Lock()
+			nj.progress = p
+			nj.mu.Unlock()
+		}
+		var res *placement.KResult
+		startJob(s, s.jobs, nj, "placement.job", func(ctx context.Context) (err error) {
+			res, err = placement.SearchKCtx(ctx, kreq)
+			return err
+		}, func() { nj.result = res })
 		return nj
 	})
 	if err != nil {
@@ -395,61 +181,6 @@ func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) e
 		"k":         j.k,
 		"exact":     j.exact,
 	})
-}
-
-// startJob launches the runner and the timeout watcher. The runner
-// holds one inflight evaluation slot for the search itself; the
-// watcher makes the deadline observable even while the search is stuck
-// inside a phase that cannot be interrupted (an ensemble source that
-// blocks during matrix compile).
-func (s *Server) startJob(j *job, kreq placement.KRequest) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.opt.JobTimeout)
-	j.cancel = cancel
-	// The job runs under its own trace, linked to the submitting
-	// request's trace by annotation (the submit request finishes long
-	// before the job does, so sharing one trace would tie the job's
-	// spans to an already-published tree).
-	tr := s.tracer.Start("placement.job")
-	if tr != nil {
-		ctx = obs.ContextWithSpan(obs.ContextWithTrace(ctx, tr), tr.Root())
-		j.traceID = tr.ID()
-		tr.Root().Annotate("job_id", j.id)
-		if j.submitTrace != "" {
-			tr.Root().Annotate("submit_trace_id", j.submitTrace)
-		}
-	}
-	kreq.Progress = func(p placement.KProgress) {
-		j.mu.Lock()
-		j.progress = p
-		j.mu.Unlock()
-	}
-	go func() {
-		select {
-		case <-ctx.Done():
-			// Timeout or Close: surface the terminal state immediately;
-			// the runner's eventual return is a no-op on a finished job.
-			err := ctx.Err()
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.timeouts.Inc()
-				err = fmt.Errorf("job exceeded its %v deadline: %w", s.opt.JobTimeout, err)
-			}
-			s.jobs.finish(j, nil, err)
-		case <-j.done:
-		}
-	}()
-	go func() {
-		defer cancel()
-		release, err := s.acquire(ctx)
-		if err == nil {
-			var res *placement.KResult
-			res, err = placement.SearchKCtx(ctx, kreq)
-			release()
-			s.jobs.finish(j, res, err)
-		} else {
-			s.jobs.finish(j, nil, err)
-		}
-		tr.Finish()
-	}()
 }
 
 // ---- GET /v1/placement/jobs/{id} ----

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -158,44 +161,6 @@ func TestJobCoalescing(t *testing.T) {
 	}
 }
 
-// TestJobTimeout: a job stuck in compile past Options.JobTimeout is
-// marked failed with a deadline error — the watcher fires even though
-// the search cannot observe the context inside a blocking source.
-func TestJobTimeout(t *testing.T) {
-	s, stub, rec := newStubServer(t, Options{JobTimeout: 50 * time.Millisecond})
-	stub.close()
-	t.Cleanup(stub.open)
-
-	code, body := postJob(t, s.Handler(), `{"k":2}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("submit: status %d, body %v", code, body)
-	}
-	done := pollJob(t, s.Handler(), body["job_id"].(string))
-	if done["status"] != jobFailed {
-		t.Fatalf("terminal state = %v, want failed", done["status"])
-	}
-	if msg, _ := done["error"].(string); !strings.Contains(msg, "deadline") {
-		t.Errorf("error = %q, want a deadline message", msg)
-	}
-	if v := rec.Counter("serve.jobs_failed").Value(); v != 1 {
-		t.Errorf("jobs_failed = %d, want 1", v)
-	}
-	if v := rec.Counter("serve.timeouts").Value(); v != 1 {
-		t.Errorf("timeouts = %d, want 1", v)
-	}
-
-	// A failed job leaves the coalescing index: the same body submits a
-	// fresh job (new attempt, not the failed one).
-	stub.open()
-	code, retry := postJob(t, s.Handler(), `{"k":2}`)
-	if code != http.StatusAccepted {
-		t.Fatalf("retry: status %d", code)
-	}
-	if retry["coalesced"] != false {
-		t.Error("retry coalesced onto the failed job")
-	}
-}
-
 // TestJobCanceledOnClose: Close cancels running jobs (pollable as
 // canceled) and rejects new submissions with 503.
 func TestJobCanceledOnClose(t *testing.T) {
@@ -224,26 +189,229 @@ func TestJobCanceledOnClose(t *testing.T) {
 	}
 }
 
+// jobKind drives one async job kind through its HTTP surface, so the
+// lifecycle tests below run over both kinds.
+type jobKind struct {
+	name   string
+	metric string // instrument name prefix, e.g. "serve.jobs_"
+	url    string // submit endpoint
+	jobs   string // poll endpoint prefix
+	// setup prepares the server for the kind and returns the submit
+	// body of variant i (0 or 1); distinct variants are distinct jobs.
+	setup func(t *testing.T, s *Server) func(i int) string
+	poll  func(t testing.TB, h http.Handler, id string) map[string]any
+	// block stalls the kind's work until unblock runs.
+	block func(t *testing.T, s *Server, stub *stubFixture) (unblock func())
+}
+
+var jobKinds = []jobKind{
+	{
+		name:   "placement",
+		metric: "serve.jobs_",
+		url:    "/v1/placement/search",
+		jobs:   "/v1/placement/jobs/",
+		setup: func(*testing.T, *Server) func(int) string {
+			// The ensemble is named: once a generation job registers
+			// its ensemble, an unnamed search is ambiguous.
+			return func(i int) string { return fmt.Sprintf(`{"ensemble":"stub","k":%d}`, 2+i) }
+		},
+		poll: pollJob,
+		// A closed stub blocks the search inside compile, where it
+		// cannot observe its context.
+		block: func(_ *testing.T, _ *Server, stub *stubFixture) func() {
+			stub.close()
+			return stub.open
+		},
+	},
+	{
+		name:   "generation",
+		metric: "serve.genjobs_",
+		url:    "/v1/ensembles",
+		jobs:   "/v1/ensembles/jobs/",
+		setup: func(t *testing.T, s *Server) func(int) string {
+			code, body := uploadPost(t, s.Handler(), "/v1/topologies", testTopologyJSON("jobs-island"), nil)
+			if code != http.StatusCreated {
+				t.Fatalf("upload = %d, body %v", code, body)
+			}
+			id := body["topology_id"].(string)
+			return func(i int) string { return testEnsembleJSON(id, 8, int64(1+i)) }
+		},
+		poll: awaitGenJob,
+		// Holding the only inflight slot keeps the runner from starting.
+		block: func(t *testing.T, s *Server, _ *stubFixture) func() {
+			release, err := s.acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return release
+		},
+	},
+}
+
+// submitKind posts variant i of the kind and returns the 202 body.
+func submitKind(t *testing.T, s *Server, k jobKind, body string) map[string]any {
+	t.Helper()
+	code, out := uploadPost(t, s.Handler(), k.url, body, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: status %d, body %v", code, out)
+	}
+	return out
+}
+
+// TestJobTimeout: a job stuck past Options.JobTimeout is marked failed
+// with a deadline error — the watcher fires even though the work
+// cannot observe the context (a blocking source, or a runner still
+// waiting for its slot). The watcher finishes first; the runner's
+// later return changes nothing. A failed job leaves the coalescing
+// index, so the same body submits a fresh job that runs to done.
+func TestJobTimeout(t *testing.T) {
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, stub, rec := newStubServer(t, Options{JobTimeout: 50 * time.Millisecond, MaxInflight: 1})
+			body := k.setup(t, s)(0)
+			unblock := sync.OnceFunc(k.block(t, s, stub))
+			t.Cleanup(unblock)
+
+			sub := submitKind(t, s, k, body)
+			done := k.poll(t, s.Handler(), sub["job_id"].(string))
+			if done["status"] != jobFailed {
+				t.Fatalf("terminal state = %v, want failed", done["status"])
+			}
+			if msg, _ := done["error"].(string); !strings.Contains(msg, "deadline") {
+				t.Errorf("error = %q, want a deadline message", msg)
+			}
+			if v := rec.Counter(k.metric + "failed").Value(); v != 1 {
+				t.Errorf("%sfailed = %d, want 1", k.metric, v)
+			}
+			if v := rec.Counter("serve.timeouts").Value(); v != 1 {
+				t.Errorf("timeouts = %d, want 1", v)
+			}
+
+			unblock()
+			s.opt.JobTimeout = time.Minute
+			retry := submitKind(t, s, k, body)
+			if retry["coalesced"] != false {
+				t.Error("retry coalesced onto the failed job")
+			}
+			if done := k.poll(t, s.Handler(), retry["job_id"].(string)); done["status"] != jobDone {
+				t.Fatalf("retry finished %v (%v), want done", done["status"], done["error"])
+			}
+			for name, want := range map[string]int64{"submitted": 2, "done": 1, "failed": 1, "canceled": 0} {
+				if v := rec.Counter(k.metric + name).Value(); v != want {
+					t.Errorf("%s%s = %d, want %d", k.metric, name, v, want)
+				}
+			}
+			if v := rec.Gauge(k.metric + "running").Value(); v != 0 {
+				t.Errorf("%srunning = %d, want 0", k.metric, v)
+			}
+		})
+	}
+}
+
+// TestJobFirstFinisherWins: when the runner finishes first, the
+// watcher that wakes on the runner's own cancel changes nothing: the
+// job stays done and is counted once.
+func TestJobFirstFinisherWins(t *testing.T) {
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, _, rec := newStubServer(t, Options{})
+			sub := submitKind(t, s, k, k.setup(t, s)(0))
+			id := sub["job_id"].(string)
+			if done := k.poll(t, s.Handler(), id); done["status"] != jobDone {
+				t.Fatalf("terminal state = %v (%v), want done", done["status"], done["error"])
+			}
+			time.Sleep(20 * time.Millisecond) // let the watcher observe the cancel
+			if done := k.poll(t, s.Handler(), id); done["status"] != jobDone {
+				t.Errorf("state after the watcher woke = %v, want done", done["status"])
+			}
+			for name, want := range map[string]int64{"submitted": 1, "done": 1, "failed": 0, "canceled": 0} {
+				if v := rec.Counter(k.metric + name).Value(); v != want {
+					t.Errorf("%s%s = %d, want %d", k.metric, name, v, want)
+				}
+			}
+			if v := rec.Gauge(k.metric + "running").Value(); v != 0 {
+				t.Errorf("%srunning = %d, want 0", k.metric, v)
+			}
+		})
+	}
+}
+
 // TestJobRetention: finished jobs beyond JobRetention are evicted
 // oldest-first and their ids stop resolving.
 func TestJobRetention(t *testing.T) {
-	s, _, _ := newStubServer(t, Options{JobRetention: 1})
-	code, first := postJob(t, s.Handler(), `{"k":2}`)
-	if code != http.StatusAccepted {
-		t.Fatal("first submit rejected")
-	}
-	pollJob(t, s.Handler(), first["job_id"].(string))
-	code, second := postJob(t, s.Handler(), `{"k":3}`)
-	if code != http.StatusAccepted {
-		t.Fatal("second submit rejected")
-	}
-	pollJob(t, s.Handler(), second["job_id"].(string))
+	for _, k := range jobKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s, _, _ := newStubServer(t, Options{JobRetention: 1})
+			body := k.setup(t, s)
+			first := submitKind(t, s, k, body(0))
+			k.poll(t, s.Handler(), first["job_id"].(string))
+			second := submitKind(t, s, k, body(1))
+			k.poll(t, s.Handler(), second["job_id"].(string))
 
-	if code, _ := get(t, s.Handler(), "/v1/placement/jobs/"+first["job_id"].(string)); code != http.StatusNotFound {
-		t.Errorf("evicted job poll: status %d, want 404", code)
+			if code, _ := get(t, s.Handler(), k.jobs+first["job_id"].(string)); code != http.StatusNotFound {
+				t.Errorf("evicted job poll: status %d, want 404", code)
+			}
+			if code, _ := get(t, s.Handler(), k.jobs+second["job_id"].(string)); code != http.StatusOK {
+				t.Errorf("retained job poll: status %d, want 200", code)
+			}
+		})
 	}
-	if code, _ := get(t, s.Handler(), "/v1/placement/jobs/"+second["job_id"].(string)); code != http.StatusOK {
-		t.Errorf("retained job poll: status %d, want 200", code)
+}
+
+// TestJobSubmitPollCloseConcurrent races submissions and polls of both
+// kinds against Close: every accepted job reaches a terminal state,
+// no running gauge is left raised, and submissions after Close are
+// refused.
+func TestJobSubmitPollCloseConcurrent(t *testing.T) {
+	s, _, rec := newStubServer(t, Options{})
+	bodies := make([]func(int) string, len(jobKinds))
+	for i, k := range jobKinds {
+		bodies[i] = k.setup(t, s)
+	}
+	var (
+		wg  sync.WaitGroup
+		mu  sync.Mutex
+		ids = make(map[string]int) // job id → kind index
+	)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 6; i++ {
+				ki := (w + i) % len(jobKinds)
+				k := jobKinds[ki]
+				code, out := uploadPost(t, s.Handler(), k.url, bodies[ki](i%2), nil)
+				switch code {
+				case http.StatusAccepted, http.StatusOK:
+					id := out["job_id"].(string)
+					mu.Lock()
+					ids[id] = ki
+					mu.Unlock()
+					if code, body := get(t, s.Handler(), k.jobs+id); code != http.StatusOK {
+						t.Errorf("poll %s: status %d, body %v", id, code, body)
+					}
+				case http.StatusServiceUnavailable:
+				default:
+					t.Errorf("submit: status %d, body %v", code, out)
+				}
+			}
+		}(w)
+	}
+	time.Sleep(time.Millisecond)
+	s.Close()
+	wg.Wait()
+
+	for id, ki := range ids {
+		if final := jobKinds[ki].poll(t, s.Handler(), id); final["status"] == jobRunning {
+			t.Errorf("job %s still running after Close", id)
+		}
+	}
+	for i, k := range jobKinds {
+		if v := rec.Gauge(k.metric + "running").Value(); v != 0 {
+			t.Errorf("%srunning = %d after every job finished, want 0", k.metric, v)
+		}
+		code, out := uploadPost(t, s.Handler(), k.url, bodies[i](1), nil)
+		wantAPIError(t, code, out, http.StatusServiceUnavailable, "shutting_down")
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"compoundthreat/internal/analysis"
 	"compoundthreat/internal/assets"
 	"compoundthreat/internal/engine"
+	"compoundthreat/internal/hash64"
 	"compoundthreat/internal/obs"
 	"compoundthreat/internal/store"
 )
@@ -161,9 +162,9 @@ type Server struct {
 
 	cache   *viewCache
 	evals   engine.EvaluatorPool // shared by every cached view
-	jobs    *jobRegistry
+	jobs    *registry[*job]
 	uploads *uploadState
-	genjobs *genRegistry
+	genjobs *registry[*genJob]
 	slots   chan struct{}
 	start   time.Time
 	mux     *http.ServeMux
@@ -203,9 +204,7 @@ func New(ensembles map[string]Ensemble, inv *assets.Inventory, opt Options) (*Se
 		inv:       inv,
 		ensembles: make(map[string]*ensembleEntry, len(ensembles)),
 		cache:     newViewCache(opt.CacheEntries),
-		jobs:      newJobRegistry(opt.JobRetention),
 		uploads:   newUploadState(opt),
-		genjobs:   newGenRegistry(opt.JobRetention),
 		slots:     make(chan struct{}, opt.MaxInflight),
 		start:     time.Now(),
 		inflight:  rec.Gauge("serve.inflight"),
@@ -218,6 +217,22 @@ func New(ensembles map[string]Ensemble, inv *assets.Inventory, opt Options) (*Se
 		handoffViews:  rec.Counter("serve.handoff_views"),
 		jobsImported:  rec.Counter("serve.jobs_imported"),
 	}
+	s.jobs = newRegistry[*job](opt.JobRetention, jobMetrics{
+		submitted: rec.Counter("serve.jobs_submitted"),
+		coalesced: rec.Counter("serve.jobs_coalesced"),
+		done:      rec.Counter("serve.jobs_done"),
+		failed:    rec.Counter("serve.jobs_failed"),
+		canceled:  rec.Counter("serve.jobs_canceled"),
+		running:   rec.Gauge("serve.jobs_running"),
+	})
+	s.genjobs = newRegistry[*genJob](opt.JobRetention, jobMetrics{
+		submitted: rec.Counter("serve.genjobs_submitted"),
+		coalesced: rec.Counter("serve.genjobs_coalesced"),
+		done:      rec.Counter("serve.genjobs_done"),
+		failed:    rec.Counter("serve.genjobs_failed"),
+		canceled:  rec.Counter("serve.genjobs_canceled"),
+		running:   rec.Gauge("serve.genjobs_running"),
+	})
 	if opt.AccessLog != nil {
 		s.access = newAccessLogger(opt.AccessLog)
 	}
@@ -273,13 +288,9 @@ func (s *Server) registerEnsemble(name string, e Ensemble, hash uint64) error {
 func fingerprint(e Ensemble) (uint64, error) {
 	ids := e.AssetIDs()
 	sort.Strings(ids)
-	h := uint64(fnv64Offset)
-	hashByte := func(b byte) { h = (h ^ uint64(b)) * fnv64Prime }
+	h := hash64.Offset
 	for _, id := range ids {
-		for i := 0; i < len(id); i++ {
-			hashByte(id[i])
-		}
-		hashByte(0)
+		h = hash64.AddByte(hash64.AddString(h, id), 0)
 	}
 	var row []bool
 	for r := 0; r < e.Size(); r++ {
@@ -295,22 +306,16 @@ func fingerprint(e Ensemble) (uint64, error) {
 				acc |= 1
 			}
 			if n++; n == 8 {
-				hashByte(acc)
+				h = hash64.AddByte(h, acc)
 				acc, n = 0, 0
 			}
 		}
 		if n > 0 {
-			hashByte(acc)
+			h = hash64.AddByte(h, acc)
 		}
 	}
 	return h, nil
 }
-
-// fnv64Offset / fnv64Prime are the FNV-1a 64-bit parameters.
-const (
-	fnv64Offset = 14695981039346656037
-	fnv64Prime  = 1099511628211
-)
 
 // appendFailureVector prefers the ensemble's allocation-free append
 // path when it has one.

@@ -341,16 +341,18 @@ func jobFromEnvelope(env jobEnvelope) (*job, error) {
 		cfg.Name = env.Result.ConfigName
 	}
 	j := &job{
-		id:       env.ID,
-		key:      env.Key,
+		jobBase: jobBase{
+			id:      env.ID,
+			key:     env.Key,
+			created: time.Unix(0, env.CreatedUnixNano),
+			done:    make(chan struct{}),
+			state:   jobDone,
+		},
 		ensName:  env.Ensemble,
 		scenario: scenario,
 		objName:  env.Objective,
 		k:        env.K,
 		exact:    env.Exact,
-		created:  time.Unix(0, env.CreatedUnixNano),
-		done:     make(chan struct{}),
-		state:    jobDone,
 		progress: placement.KProgress{
 			Phase:     env.Progress.Phase,
 			Evaluated: env.Progress.Evaluated,
@@ -381,7 +383,7 @@ func (s *Server) handleJobsExport(w http.ResponseWriter, r *http.Request) error 
 	if err := checkParams(r.URL.Query()); err != nil {
 		return err
 	}
-	envs := s.jobs.exportDone()
+	envs := exportDone(s.jobs)
 	return writeJSON(w, map[string]any{"version": JobEnvelopeVersion, "jobs": envs})
 }
 
@@ -479,7 +481,7 @@ func (s *Server) Handoff(ctx context.Context, baseURL string, maxViews int) (Han
 			rep.SkippedViews++
 		}
 	}
-	envs := s.jobs.exportDone()
+	envs := exportDone(s.jobs)
 	if len(envs) > 0 {
 		body, err := json.Marshal(map[string]any{"version": JobEnvelopeVersion, "jobs": envs})
 		if err != nil {

@@ -329,7 +329,7 @@ func TestHandoffJobsSurviveReexport(t *testing.T) {
 	j, _ := s.jobs.get(sub.JobID)
 	<-j.done
 
-	envs := s.jobs.exportDone()
+	envs := exportDone(s.jobs)
 	if len(envs) != 1 {
 		t.Fatalf("exported %d jobs, want 1", len(envs))
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 
+	"compoundthreat/internal/hash64"
 	"compoundthreat/internal/obs"
 )
 
@@ -160,7 +161,7 @@ func (m *memo) do(ctx context.Context, key string, fetch func() (*response, erro
 // hash is deterministic, so which keys collide does not change from run
 // to run. Callers hold mu.
 func (m *memo) secondSight(key string) bool {
-	h := fmix64(fnv1a(key)) | 1 // never the empty slot's zero
+	h := hash64.Mix(hash64.String(key)) | 1 // never the empty slot's zero
 	first, second := &m.door[h&(memoDoorSize-1)], &m.door[h>>32&(memoDoorSize-1)]
 	switch {
 	case *first == h || *second == h:
@@ -171,18 +172,6 @@ func (m *memo) secondSight(key string) bool {
 		*second = h
 	}
 	return false
-}
-
-// fmix64 is MurmurHash3's 64-bit finalizer. FNV-1a leaves keys that
-// differ in a few bytes clustered; the finalizer spreads them across
-// the doorkeeper's slots.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
 }
 
 // store adds an answer, evicting least recently used entries until the

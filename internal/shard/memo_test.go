@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"compoundthreat/internal/hash64"
 	"compoundthreat/internal/obs"
 )
 
@@ -170,7 +171,7 @@ func TestMemoConcurrentHitsAndStores(t *testing.T) {
 // second sighting instead of evicting each other.
 func TestMemoDoorkeeperSharedSlot(t *testing.T) {
 	slots := func(key string) (uint64, uint64) {
-		h := fmix64(fnv1a(key)) | 1
+		h := hash64.Mix(hash64.String(key)) | 1
 		return h & (memoDoorSize - 1), h >> 32 & (memoDoorSize - 1)
 	}
 	byFirst := make(map[uint64]string)

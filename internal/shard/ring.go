@@ -3,6 +3,8 @@ package shard
 import (
 	"sort"
 	"strconv"
+
+	"compoundthreat/internal/hash64"
 )
 
 // Ring is a consistent-hash ring over a fixed set of backend indexes.
@@ -24,17 +26,6 @@ type ringPoint struct {
 	idx  int
 }
 
-// fnv1a hashes s with 64-bit FNV-1a — the same function the serving
-// tier uses for cache keys, cheap and stable across processes.
-func fnv1a(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // NewRing builds a ring over backends 0..n-1 with the given number of
 // virtual nodes per backend (more replicas, smoother balance; 64 is a
 // good default for small pools).
@@ -48,7 +39,7 @@ func NewRing(n, replicas int) *Ring {
 	r := &Ring{points: make([]ringPoint, 0, n*replicas), n: n}
 	for idx := 0; idx < n; idx++ {
 		for v := 0; v < replicas; v++ {
-			h := fnv1a("backend-" + strconv.Itoa(idx) + "-" + strconv.Itoa(v))
+			h := hash64.String("backend-" + strconv.Itoa(idx) + "-" + strconv.Itoa(v))
 			r.points = append(r.points, ringPoint{hash: h, idx: idx})
 		}
 	}
@@ -70,7 +61,7 @@ func (r *Ring) Backends() int { return r.n }
 // clockwise. Element 0 is the key's home; the rest is its failover
 // order, so skipping unhealthy prefixes is itself consistent.
 func (r *Ring) Seq(key string) []int {
-	h := fnv1a(key)
+	h := hash64.String(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	seq := make([]int, 0, r.n)
 	seen := make([]bool, r.n)

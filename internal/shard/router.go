@@ -185,10 +185,17 @@ func (rt *Router) prober(ctx context.Context) {
 	}
 }
 
-// probeAll probes every backend concurrently, bounded by one health
-// interval.
+// minProbeTimeout floors the per-probe deadline. A worker busy
+// generating an ensemble can answer its health probe slower than a
+// short probe period; timing the probe out at the period would mark
+// it down and fail its keys over to workers that may not hold their
+// data.
+const minProbeTimeout = 2 * time.Second
+
+// probeAll probes every backend concurrently, each probe bounded by
+// the health interval or minProbeTimeout, whichever is longer.
 func (rt *Router) probeAll(ctx context.Context) {
-	pctx, cancel := context.WithTimeout(ctx, rt.opt.HealthInterval)
+	pctx, cancel := context.WithTimeout(ctx, max(rt.opt.HealthInterval, minProbeTimeout))
 	defer cancel()
 	var wg sync.WaitGroup
 	for _, b := range rt.backends {

@@ -24,6 +24,9 @@ type fakeWorker struct {
 	sweeps atomic.Int64
 	fail   atomic.Bool
 	reject atomic.Int64 // non-zero: sweeps answer this status
+	// healthDelay stalls every health probe answer, as a worker busy
+	// generating an ensemble does.
+	healthDelay atomic.Int64
 
 	mu          sync.Mutex
 	fp          string        // fingerprint advertised for "hurricane", echoed in sweep bodies
@@ -71,6 +74,7 @@ func newFakeWorker(t *testing.T, idx int) *fakeWorker {
 	f := &fakeWorker{idx: idx, jobs: make(map[string]bool), fp: "00000000cafef00d"}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(time.Duration(f.healthDelay.Load()))
 		fmt.Fprintf(w, `{"status":"ok","ensembles":[{"name":"hurricane","fingerprint":%q}]}`, f.fingerprint())
 	})
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
@@ -247,6 +251,34 @@ func TestRouterStableSharding(t *testing.T) {
 	total := a.sweeps.Load() + b.sweeps.Load()
 	if a.sweeps.Load() != total && b.sweeps.Load() != total {
 		t.Fatalf("sweeps split across workers: a=%d b=%d", a.sweeps.Load(), b.sweeps.Load())
+	}
+}
+
+// TestRouterSlowProbeStaysHealthy checks a worker whose health probe
+// answers slower than the probe period is not marked down: each probe
+// is bounded by a floor well above the period, so a worker busy
+// generating an ensemble stays healthy and keeps receiving its keys
+// instead of losing them to a worker that may not hold their data.
+func TestRouterSlowProbeStaysHealthy(t *testing.T) {
+	a, b := newFakeWorker(t, 0), newFakeWorker(t, 1)
+	for _, f := range []*fakeWorker{a, b} {
+		f.healthDelay.Store(int64(100 * time.Millisecond))
+	}
+	rt := newTestRouter(t, Options{HealthInterval: 20 * time.Millisecond}, a, b)
+	home := do(t, rt, http.MethodGet, "/v1/sweep", "").Header().Get("X-Shard-Backend")
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); {
+		for _, be := range rt.backends {
+			if !be.healthy.Load() {
+				t.Fatalf("backend %d marked unhealthy by a slow probe", be.index)
+			}
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	for i, url := range viewSweeps {
+		w := do(t, rt, http.MethodGet, url, "")
+		if got := w.Header().Get("X-Shard-Backend"); w.Code != http.StatusOK || got != home {
+			t.Fatalf("request %d: status %d from backend %s, home is %s", i, w.Code, got, home)
+		}
 	}
 }
 

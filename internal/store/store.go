@@ -31,6 +31,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"compoundthreat/internal/hash64"
 )
 
 // Options tunes a store. The zero value uses the documented defaults.
@@ -83,21 +85,10 @@ type Store struct {
 // envelopeMagic heads every stored file: format name and version.
 const envelopeMagic = "threatstore1"
 
-// fnv64Offset / fnv64Prime are the FNV-1a 64-bit parameters — the same
-// hash family the serving tier fingerprints ensembles with.
-const (
-	fnv64Offset = 14695981039346656037
-	fnv64Prime  = 1099511628211
-)
-
 // ContentID fingerprints payload bytes as a 16-hex-digit FNV-1a hash —
 // the id under which content-addressed documents are stored.
 func ContentID(data []byte) string {
-	h := uint64(fnv64Offset)
-	for _, b := range data {
-		h = (h ^ uint64(b)) * fnv64Prime
-	}
-	return fmt.Sprintf("%016x", h)
+	return fmt.Sprintf("%016x", hash64.Bytes(data))
 }
 
 // Open opens (creating if needed) the store rooted at dir and rebuilds
