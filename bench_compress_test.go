@@ -4,8 +4,8 @@ package compoundthreat
 // are the only evaluation path. BenchmarkFigure9Workers,
 // BenchmarkFigureAllEngine and BenchmarkPlacementSearch in
 // bench_test.go run the same path under the names BENCH_1.json and
-// earlier records use. BENCH_3.json records the measured numbers for
-// the sweeps below and `make bench-check` gates these against it.
+// earlier records use. BENCH_3.json records the first measured numbers
+// for the sweeps below; `make bench-check` gates them.
 
 import (
 	"testing"

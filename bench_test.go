@@ -141,7 +141,7 @@ func BenchmarkFigure9Sequential(b *testing.B) {
 // several worker bounds. Compare against BenchmarkFigure9Sequential
 // for the speedup; the gain is dominated by the bit-packed matrix, row
 // deduplication and per-flood-pattern memoization, so it holds even at
-// workers=1. BENCH_1.json gates it.
+// workers=1. `make bench-check` gates it.
 func BenchmarkFigure9Workers(b *testing.B) {
 	cs, configs, scenario := benchFigureConfigs(b, 9)
 	for _, workers := range []int{1, 4, 8} {
@@ -178,7 +178,7 @@ func BenchmarkFigureAllSequential(b *testing.B) {
 
 // BenchmarkFigureAllEngine evaluates all six paper figures through
 // EvaluateAllFigures: flattened (figure, config) cells over one
-// deduplicated failure matrix. BENCH_1.json gates it.
+// deduplicated failure matrix. `make bench-check` gates it.
 func BenchmarkFigureAllEngine(b *testing.B) {
 	cs := benchCaseStudy(b)
 	b.ResetTimer()

@@ -1,14 +1,13 @@
 package placement
 
-// Placement-search benchmarks backing BENCH_6.json: the word-parallel
-// kernel against the memoized evaluator on the paper's Oahu pair
-// search (matrix precompiled, so the numbers isolate per-placement
+// Placement-search benchmarks, first recorded in BENCH_6.json: the
+// word-parallel kernel against the memoized evaluator on the paper's
+// Oahu pair search (matrix precompiled, so the numbers isolate per-placement
 // evaluation — the part the kernel changes), and k-site search at
 // production scale on synthetic universes.
 //
-// Refresh the baseline with:
-//
-//	make bench-placement
+// Run them with `make bench-placement`; refresh the gate's baseline
+// with `make bench-baseline`.
 
 import (
 	"sync"

@@ -6,7 +6,7 @@ package serve
 // remote trace context) and with tracing off (the header must be
 // ignored for free — the parse is gated behind the tracer-enabled
 // check, so the off path stays at the untraced allocation count).
-// These feed the "obs" benchcheck set, gated against BENCH_10.json.
+// `make bench-check` gates them.
 
 import (
 	"net/http"

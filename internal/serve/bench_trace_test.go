@@ -3,8 +3,7 @@ package serve
 // Benchmarks for the observability cost of the serving path: the
 // cached sweep with tracing on vs off (the off path must stay within a
 // few percent of the untraced BENCH_4 numbers) and the live Prometheus
-// exposition render at /v1/metrics. These are the "trace" benchcheck
-// set, gated against BENCH_5.json.
+// exposition render at /v1/metrics. `make bench-check` gates them.
 
 import (
 	"net/http"

@@ -6,14 +6,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"compoundthreat/internal/obs"
 )
 
 // BenchmarkUploadToSweep measures the write path end to end: submit a
-// generation request against an uploaded topology, poll the job to
-// completion, and sweep the finished ensemble. The seed varies per
+// generation request against an uploaded topology, wait for the job
+// and poll its result, and sweep the finished ensemble. The seed varies per
 // iteration so every submission is a fresh scenario (no coalescing,
 // no view-cache reuse); quotas are lifted out of the way.
 func BenchmarkUploadToSweep(b *testing.B) {
@@ -50,23 +49,25 @@ func BenchmarkUploadToSweep(b *testing.B) {
 		if err := json.Unmarshal(sw.Body.Bytes(), &sub); err != nil {
 			b.Fatal(err)
 		}
-		for {
-			pw := httptest.NewRecorder()
-			h.ServeHTTP(pw, httptest.NewRequest(http.MethodGet, "/v1/ensembles/jobs/"+sub.JobID, nil))
-			var poll struct {
-				Status string `json:"status"`
-				Error  string `json:"error"`
-			}
-			if err := json.Unmarshal(pw.Body.Bytes(), &poll); err != nil {
-				b.Fatal(err)
-			}
-			if poll.Status == jobDone {
-				break
-			}
-			if poll.Status != jobRunning {
-				b.Fatalf("job %s: %s (%s)", sub.JobID, poll.Status, poll.Error)
-			}
-			time.Sleep(100 * time.Microsecond)
+		// Wait on the job itself, then poll once: a poll loop's
+		// iteration count, and so the benchmark's allocs/op, would
+		// depend on how fast the machine generates.
+		j, ok := s.genjobs.get(sub.JobID)
+		if !ok {
+			b.Fatalf("job %s not registered", sub.JobID)
+		}
+		<-j.done
+		pw := httptest.NewRecorder()
+		h.ServeHTTP(pw, httptest.NewRequest(http.MethodGet, "/v1/ensembles/jobs/"+sub.JobID, nil))
+		var poll struct {
+			Status string `json:"status"`
+			Error  string `json:"error"`
+		}
+		if err := json.Unmarshal(pw.Body.Bytes(), &poll); err != nil {
+			b.Fatal(err)
+		}
+		if poll.Status != jobDone {
+			b.Fatalf("job %s: %s (%s)", sub.JobID, poll.Status, poll.Error)
 		}
 		qw := httptest.NewRecorder()
 		h.ServeHTTP(qw, httptest.NewRequest(http.MethodGet,

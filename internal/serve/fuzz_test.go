@@ -1,6 +1,11 @@
 package serve
 
 import (
+	"errors"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -68,6 +73,66 @@ func FuzzEnsembleParams(f *testing.F) {
 		}
 		if p2.scenarioID != p.scenarioID {
 			t.Fatalf("canonical re-decode changed scenario id: %s != %s", p2.scenarioID, p.scenarioID)
+		}
+	})
+}
+
+// FuzzSweepQuery checks the router's sweep validation (SweepShape)
+// against the worker's GET /v1/sweep handler over arbitrary raw query
+// strings: no panics; every query SweepShape rejects, it rejects with
+// a 400 the worker also answers, so the router never refuses what a
+// worker would serve; and reordering the query's &-separated pairs
+// changes neither the shard identity nor the response key.
+func FuzzSweepQuery(f *testing.F) {
+	f.Add("scenario=both")
+	f.Add("scenario=both&config=6-6&config=6%2B6%2B6")
+	f.Add("config=2&primary=a&second=b&data_center=c")
+	f.Add("ensemble=nope&scenario=nope")
+	f.Add("config=7&ensemble=oahu")
+	f.Add("%zz&scenario=;&&config=2")
+	s, _ := newTestServer(f, Options{})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as r.URL.Query(): malformed pairs drop
+		shape, err := SweepShape(q, nil)
+		if err != nil {
+			var ae *apiError
+			if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
+				t.Fatalf("SweepShape(%q) rejects with %v, want a 400", raw, err)
+			}
+			req := httptest.NewRequest(http.MethodGet, "/v1/sweep", nil)
+			req.URL.RawQuery = raw
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("SweepShape(%q) = 400 (%v), worker = %d: %s", raw, err, w.Code, w.Body.String())
+			}
+			return
+		}
+
+		// Reorder the pairs by decoded key, descending. The sort is
+		// stable, so a repeated key's values keep their order, which
+		// the answer does depend on.
+		pairs := strings.Split(raw, "&")
+		key := func(pair string) string {
+			k, _, _ := strings.Cut(pair, "=")
+			if u, err := url.QueryUnescape(k); err == nil {
+				return u
+			}
+			return k
+		}
+		sort.SliceStable(pairs, func(i, j int) bool { return key(pairs[i]) > key(pairs[j]) })
+		reordered := strings.Join(pairs, "&")
+		q2, _ := url.ParseQuery(reordered)
+		shape2, err := SweepShape(q2, nil)
+		if err != nil {
+			t.Fatalf("SweepShape accepts %q but rejects its reordering %q: %v", raw, reordered, err)
+		}
+		if shape2 != shape {
+			t.Fatalf("reordering %q as %q changes the shape: %+v != %+v", raw, reordered, shape2, shape)
+		}
+		if k1, k2 := ResponseKey(http.MethodGet, "/v1/sweep", q, nil), ResponseKey(http.MethodGet, "/v1/sweep", q2, nil); k1 != k2 {
+			t.Fatalf("reordering %q as %q changes the response key: %q != %q", raw, reordered, k2, k1)
 		}
 	})
 }

@@ -256,6 +256,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 		"max_inflight":   s.opt.MaxInflight,
 		"topologies":     len(s.uploads.topologyList()),
 	}
+	if s.dflt != nil {
+		out["default_ensemble"] = s.dflt.name
+	}
 	if st := s.opt.Store; st != nil {
 		out["store"] = map[string]any{"objects": st.Len(), "bytes": st.Bytes()}
 	}
@@ -435,10 +438,6 @@ type sweepJSON struct {
 // and their asset universe.
 func (s *Server) validateSweep(req sweepRequest) (*ensembleEntry, threat.Scenario, topology.Placement, []topology.Config, []string, error) {
 	var zero topology.Placement
-	ens, err := s.ensemble(req.Ensemble)
-	if err != nil {
-		return nil, 0, zero, nil, nil, err
-	}
 	scenario, err := parseScenario(req.Scenario)
 	if err != nil {
 		return nil, 0, zero, nil, nil, err
@@ -460,6 +459,13 @@ func (s *Server) validateSweep(req sweepRequest) (*ensembleEntry, threat.Scenari
 	universe, err := universeOf(configs)
 	if err != nil {
 		return nil, 0, zero, nil, nil, badRequestf("%v", err)
+	}
+	// The ensemble resolves after the checks SweepShape also makes, so
+	// a query the router rejects with a 400 gets the same 400 here,
+	// not a 404 for its ensemble.
+	ens, err := s.ensemble(req.Ensemble)
+	if err != nil {
+		return nil, 0, zero, nil, nil, err
 	}
 	if err := ens.checkAssets(universe); err != nil {
 		return nil, 0, zero, nil, nil, err

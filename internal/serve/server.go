@@ -160,6 +160,12 @@ type Server struct {
 	ensembles map[string]*ensembleEntry
 	names     []string // sorted ensemble names
 
+	// dflt answers a query that names no ensemble: the only ensemble
+	// New was given, or nil when it was given several. It is fixed at
+	// New, so no upload, generation job or warm-restart import can
+	// change what another client's unnamed query means.
+	dflt *ensembleEntry
+
 	cache   *viewCache
 	evals   engine.EvaluatorPool // shared by every cached view
 	jobs    *registry[*job]
@@ -250,6 +256,9 @@ func New(ensembles map[string]Ensemble, inv *assets.Inventory, opt Options) (*Se
 		if err := s.registerEnsemble(name, e, h); err != nil {
 			return nil, err
 		}
+		if len(ensembles) == 1 {
+			s.dflt = s.ensembles[name]
+		}
 	}
 	if err := s.loadStore(); err != nil {
 		return nil, err
@@ -332,15 +341,15 @@ func appendFailureVector(e Ensemble, dst []bool, r int, ids []string) ([]bool, e
 // Handler returns the server's HTTP handler (all /v1/ routes).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// ensemble resolves the ensemble named in a query. An empty name is
-// allowed when exactly one ensemble is loaded.
+// ensemble resolves the ensemble named in a query. An empty name
+// resolves to the default ensemble, when New was given exactly one.
 func (s *Server) ensemble(name string) (*ensembleEntry, error) {
+	if name == "" && s.dflt != nil {
+		return s.dflt, nil
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if name == "" {
-		if len(s.names) == 1 {
-			return s.ensembles[s.names[0]], nil
-		}
 		return nil, badRequestf("ensemble parameter required (loaded: %s)", strings.Join(s.names, ", "))
 	}
 	e, ok := s.ensembles[name]

@@ -322,6 +322,44 @@ func TestEnsembleGenerateBitIdentity(t *testing.T) {
 	}
 }
 
+// TestDefaultEnsembleFixedAtStart: a server started with one ensemble
+// answers queries that name none from it, and keeps doing so after
+// another client's generation job commits a second ensemble.
+func TestDefaultEnsembleFixedAtStart(t *testing.T) {
+	s, _ := newTestServer(t, Options{})
+	h := s.Handler()
+	sweep := func() *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/sweep?scenario=both", nil))
+		return w
+	}
+	before := sweep()
+	if before.Code != http.StatusOK {
+		t.Fatalf("unnamed sweep = %d, body %s", before.Code, before.Body.String())
+	}
+
+	code, body := uploadPost(t, h, "/v1/topologies", testTopologyJSON("other-island"), nil)
+	if code != http.StatusCreated {
+		t.Fatalf("upload = %d, body %v", code, body)
+	}
+	code, body = uploadPost(t, h, "/v1/ensembles", testEnsembleJSON(body["topology_id"].(string), 4, 3), nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d, body %v", code, body)
+	}
+	if final := awaitGenJob(t, h, body["job_id"].(string)); final["status"] != jobDone {
+		t.Fatalf("job finished %v, want done", final)
+	}
+
+	after := sweep()
+	if after.Code != http.StatusOK || after.Body.String() != before.Body.String() {
+		t.Fatalf("unnamed sweep after another client's generation = %d, body %s", after.Code, after.Body.String())
+	}
+	_, health := get(t, h, "/v1/healthz")
+	if n := len(health["ensembles"].([]any)); n != 2 || health["default_ensemble"] != "oahu" {
+		t.Fatalf("healthz lists %d ensembles, default %v; want 2, oahu", n, health["default_ensemble"])
+	}
+}
+
 func TestEnsembleSubmitValidation(t *testing.T) {
 	s, _ := newTestServer(t, Options{MaxUploadRealizations: 10})
 	code, body := uploadPost(t, s.Handler(), "/v1/ensembles", testEnsembleJSON("ffffffffffffffff", 4, 1), nil)
@@ -460,6 +498,11 @@ func TestUploadWarmRestart(t *testing.T) {
 	}
 	if !names[ensName] {
 		t.Fatalf("restarted healthz ensembles = %v, want %s", names, ensName)
+	}
+	// The imported ensemble does not change what a query naming none
+	// reads.
+	if code, body := get(t, s2.Handler(), "/v1/sweep?scenario=both"); code != http.StatusOK || body["ensemble"] != "oahu" {
+		t.Fatalf("unnamed sweep on the restarted server = %d %v, want 200 over oahu", code, body)
 	}
 
 	w2 := httptest.NewRecorder()

@@ -4,8 +4,7 @@ package shard
 // GET /v1/metrics?fleet=1 scrape that fans out to two backends,
 // parses both expositions, merges every family (counters, gauges, and
 // bucket-wise histograms), and renders the aggregated plus
-// per-backend-labeled exposition. Part of the "obs" benchcheck set,
-// gated against BENCH_10.json.
+// per-backend-labeled exposition. `make bench-check` gates it.
 
 import (
 	"fmt"

@@ -38,7 +38,7 @@ type backend struct {
 	spanName string
 
 	healthy   atomic.Bool
-	ensembles atomic.Pointer[map[string]string] // name → fingerprint
+	ensembles atomic.Pointer[map[string]string] // name → fingerprint; "" → the default ensemble's
 
 	requests *obs.Counter
 	errors   *obs.Counter
@@ -232,6 +232,7 @@ func (b *backend) probe(ctx context.Context) error {
 			Name        string `json:"name"`
 			Fingerprint string `json:"fingerprint"`
 		} `json:"ensembles"`
+		Default string `json:"default_ensemble"`
 	}
 	if err := b.getJSON(ctx, "/v1/healthz", &health); err != nil {
 		b.healthy.Store(false)
@@ -244,6 +245,9 @@ func (b *backend) probe(ctx context.Context) error {
 	m := make(map[string]string, len(health.Ensembles))
 	for _, e := range health.Ensembles {
 		m[e.Name] = e.Fingerprint
+	}
+	if fp, ok := m[health.Default]; ok { // names are never empty
+		m[""] = fp
 	}
 	b.ensembles.Store(&m)
 	b.healthy.Store(true)
@@ -271,18 +275,9 @@ func (b *backend) getJSON(ctx context.Context, path string, out any) error {
 	return json.Unmarshal(body, out)
 }
 
-// fingerprint resolves an ensemble name ("" = the backend's only
+// fingerprint resolves an ensemble name ("" = the backend's default
 // ensemble) against this backend's last-probed health response.
 func (b *backend) fingerprint(name string) (string, bool) {
-	m := *b.ensembles.Load()
-	if name == "" {
-		if len(m) != 1 {
-			return "", false
-		}
-		for _, fp := range m {
-			return fp, true
-		}
-	}
-	fp, ok := m[name]
+	fp, ok := (*b.ensembles.Load())[name]
 	return fp, ok
 }

@@ -300,9 +300,9 @@ func (rt *Router) writeResponse(w http.ResponseWriter, res *response) error {
 // ensemble lives on only part of the healthy pool (an uploaded
 // scenario, learned from worker healthz), the owning backends. Names
 // resolve to content fingerprints from backend health responses, so
-// renaming an ensemble (or omitting the name where one is loaded)
-// cannot split one view across workers; an unresolvable name routes by
-// name (fp is then "") and lets the owning worker return the
+// renaming an ensemble (or omitting the name where workers advertise a
+// default) cannot split one view across workers; an unresolvable name
+// routes by name (fp is then "") and lets the owning worker return the
 // authoritative 404. A nil owners slice means every healthy worker can
 // answer (startup-loaded ensembles) and plain ring routing applies.
 func (rt *Router) resolve(shape serve.QueryShape) (fp, key string, owners []*backend) {

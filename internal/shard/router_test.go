@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"compoundthreat/internal/obs"
+	"compoundthreat/internal/serve"
 )
 
 // fakeWorker is a scriptable stand-in for a threatserver worker: it
@@ -75,7 +76,7 @@ func newFakeWorker(t *testing.T, idx int) *fakeWorker {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(time.Duration(f.healthDelay.Load()))
-		fmt.Fprintf(w, `{"status":"ok","ensembles":[{"name":"hurricane","fingerprint":%q}]}`, f.fingerprint())
+		fmt.Fprintf(w, `{"status":"ok","ensembles":[{"name":"hurricane","fingerprint":%q}],"default_ensemble":"hurricane"}`, f.fingerprint())
 	})
 	mux.HandleFunc("GET /v1/readyz", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprint(w, `{"status":"ok"}`)
@@ -570,5 +571,55 @@ func TestRouterDeadline(t *testing.T) {
 	w := do(t, rt, http.MethodGet, "/v1/sweep", "")
 	if w.Code != http.StatusGatewayTimeout || !strings.Contains(w.Body.String(), `"timeout"`) {
 		t.Fatalf("stalled sweep: %d: %s, want 504 timeout", w.Code, w.Body.String())
+	}
+}
+
+// TestRouterDefaultEnsembleFixedAtStart routes a query that names no
+// ensemble to a real worker started with one. After another client's
+// generation job commits a second ensemble there, the router still
+// resolves the unnamed query to the worker's default, by fingerprint,
+// and the worker still answers it.
+func TestRouterDefaultEnsembleFixedAtStart(t *testing.T) {
+	enableObs(t)
+	ens, inv, err := testEnsemble(4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := serve.New(map[string]serve.Ensemble{"hurricane": ens}, inv, serve.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	srv := httptest.NewServer(s.Handler())
+	t.Cleanup(srv.Close)
+	rt, err := New(Options{Backends: []string{srv.URL}, HealthInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	awaitHealthy(t, rt)
+	const unnamed, named = "/v1/sweep?scenario=both", "/v1/sweep?scenario=both&ensemble=hurricane"
+	if w := do(t, rt, http.MethodGet, unnamed, ""); w.Code != http.StatusOK {
+		t.Fatalf("unnamed sweep = %d: %s", w.Code, w.Body.String())
+	}
+
+	_, userEnsemble := runUserScenario(t, rt.Handler(), 4, 3)
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := rt.backends[0].fingerprint(userEnsemble); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("router never learned %s", userEnsemble)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	w := do(t, rt, http.MethodGet, unnamed, "")
+	if want := do(t, rt, http.MethodGet, named, ""); w.Code != http.StatusOK || w.Body.String() != want.Body.String() {
+		t.Fatalf("unnamed sweep after another client's generation = %d: %s", w.Code, w.Body.String())
+	}
+	fp, _ := rt.backends[0].fingerprint("")
+	if want, _ := rt.backends[0].fingerprint("hurricane"); fp != want || fp == "" {
+		t.Fatalf("unnamed ensemble resolves to %q, want hurricane's %q", fp, want)
 	}
 }

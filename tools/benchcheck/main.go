@@ -1,44 +1,26 @@
-// Command benchcheck gates CI on benchmark regressions: it parses `go
-// test -bench` output, compares a named set of benchmarks against the
-// recorded baseline, and exits non-zero when any of them is slower
-// than the allowed ratio.
+// Command benchcheck gates CI on benchmark regressions. It reads `go
+// test -bench -benchmem -count N` output and compares every benchmark
+// in it against one machine-written baseline, keyed by package import
+// path and benchmark name (the -GOMAXPROCS suffix stripped):
 //
-// Usage:
+//	go test -run '^$' -bench . -benchtime 100x -benchmem -cpu 2 -count 5 ./internal/serve/ > bench.out
+//	go run ./tools/benchcheck -input bench.out          # gate
+//	go run ./tools/benchcheck -write -input bench.out   # rewrite the baseline
 //
-//	go test -run '^$' -bench Figure -benchtime 1x . > bench.out
-//	go run ./tools/benchcheck -baseline BENCH_1.json -input bench.out
+// `make bench-check` runs every gated benchmark and the gate; `make
+// bench-baseline` runs the same benchmarks and rewrites the baseline.
 //
-//	go test -run '^$' -bench Compressed -benchtime 1x . > compress.out
-//	go run ./tools/benchcheck -set compressed -baseline BENCH_3.json -input compress.out
-//
-//	go test -run '^$' -bench Serve -benchtime 100x ./internal/serve/ > serve.out
-//	go run ./tools/benchcheck -set serve -baseline BENCH_4.json -input serve.out
-//
-//	go test -run '^$' -bench 'Traced|TracingOff|MetricsRender' -benchtime 100x ./internal/serve/ > trace.out
-//	go run ./tools/benchcheck -set trace -baseline BENCH_5.json -input trace.out
-//
-//	go test -run '^$' -bench 'Pairs|KSite' -benchtime 1x ./internal/placement/ > placement.out
-//	go run ./tools/benchcheck -set placement -baseline BENCH_6.json -input placement.out
-//
-//	go test -run '^$' -bench Sharded -benchtime 100x ./internal/shard/ > shard.out
-//	go run ./tools/benchcheck -set shard -baseline BENCH_7.json -input shard.out
-//
-//	go test -run '^$' -bench 'Generate(Batch|Reference|Solver)' -benchtime 3x ./internal/hazard/ > generate.out
-//	go run ./tools/benchcheck -set generate -baseline BENCH_8.json -input generate.out
-//
-//	go test -run '^$' -bench 'Store(Put|Get|WarmStart)' -benchtime 100x ./internal/store/ > store.out
-//	go test -run '^$' -bench UploadToSweep -benchtime 3x ./internal/serve/ >> store.out
-//	go run ./tools/benchcheck -set store -baseline BENCH_9.json -input store.out
-//
-//	go test -run '^$' -bench 'Obs(RemoteTraced|PropagationOff)Sweep' -benchtime 100x ./internal/serve/ > obs.out
-//	go test -run '^$' -bench ObsFleetMerge -benchtime 100x ./internal/shard/ >> obs.out
-//	go run ./tools/benchcheck -set obs -baseline BENCH_10.json -input obs.out
-//
-// The threshold is deliberately loose (3x by default): single-iteration
-// smoke runs on shared CI machines are noisy, and the gate exists to
-// catch order-of-magnitude regressions — an accidental re-lock in the
-// hot loop, a lost memo table, a sweep silently falling off the
-// deduplicated path — not few-percent drift.
+// A benchmark regresses when its median ns/op over at least five runs
+// exceeds 3x the baseline median, or when its median allocs/op exceeds
+// the highest allocs/op the baseline runs saw. Allocation counts do
+// not depend on the machine at a fixed -benchtime and -cpu, so that
+// gate is exact. The time ratio is deliberately loose: shared CI
+// machines are noisy, and the gate exists to catch order-of-magnitude
+// regressions (an accidental re-lock in a hot loop, a lost memo table,
+// a sweep falling off the deduplicated path), not few-percent drift.
+// A baseline entry missing from the input, or an input benchmark the
+// baseline lacks, also fails, so a rename, a deletion or a new
+// benchmark cannot slip past the gate.
 package main
 
 import (
@@ -48,132 +30,53 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
+
+	"compoundthreat/internal/stats"
 )
 
-// nameToKey maps stripped benchmark names to BENCH_1.json headline
-// keys — the "figures" set. Benchmarks outside the selected set's
-// table are ignored; every mapped benchmark must appear in the input,
-// so a silent rename or deletion also fails the gate.
-var nameToKey = map[string]string{
-	"BenchmarkFigure9Sequential":        "figure9_sequential_ns_per_op",
-	"BenchmarkFigure9Workers/workers=1": "figure9_engine_workers1_ns_per_op",
-	"BenchmarkFigure9Workers/workers=8": "figure9_engine_workers8_ns_per_op",
-	"BenchmarkFigureAllSequential":      "all_figures_sequential_ns_per_op",
-	"BenchmarkFigureAllEngine":          "all_figures_engine_ns_per_op",
+const (
+	maxRatio = 3.0 // fail when the median ns/op exceeds this multiple of the baseline
+	minRuns  = 5   // fewest -count runs a median is taken over
+)
+
+// entry is one benchmark's baseline: the median ns/op and the highest
+// allocs/op over the runs it was written from.
+type entry struct {
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
-// compressedToKey maps the deduplicated-sweep benchmarks to
-// BENCH_3.json headline keys — the "compressed" set.
-var compressedToKey = map[string]string{
-	"BenchmarkCompressedFigure9":     "figure9_compressed_ns_per_op",
-	"BenchmarkCompressedAllFigures":  "all_figures_compressed_ns_per_op",
-	"BenchmarkCompressedSearchPairs": "searchpairs_compressed_ns_per_op",
+// samples holds every run of one benchmark.
+type samples struct {
+	ns, allocs []float64
 }
 
-// serveToKey maps the analysis-server benchmarks to BENCH_4.json
-// headline keys — the "serve" set.
-var serveToKey = map[string]string{
-	"BenchmarkServeSweepCached":     "serve_sweep_cached_ns_per_op",
-	"BenchmarkServeSweepCold":       "serve_sweep_cold_ns_per_op",
-	"BenchmarkServeFigureCached":    "serve_figure9_cached_ns_per_op",
-	"BenchmarkServePlacementCached": "serve_placement_cached_ns_per_op",
-	"BenchmarkServeSweepParallel":   "serve_sweep_parallel_ns_per_op",
-}
-
-// traceToKey maps the observability-cost benchmarks (traced vs
-// tracing-off sweep, Prometheus exposition render) to BENCH_5.json
-// headline keys — the "trace" set.
-var traceToKey = map[string]string{
-	"BenchmarkTracedSweep":     "serve_sweep_traced_ns_per_op",
-	"BenchmarkTracingOffSweep": "serve_sweep_tracing_off_ns_per_op",
-	"BenchmarkMetricsRender":   "serve_metrics_render_ns_per_op",
-}
-
-// placementToKey maps the k-site search and pair-kernel benchmarks to
-// BENCH_6.json headline keys — the "placement" set.
-var placementToKey = map[string]string{
-	"BenchmarkPairsKernel":    "pairs_kernel_ns_per_op",
-	"BenchmarkPairsEvaluator": "pairs_evaluator_ns_per_op",
-	"BenchmarkKSiteGreedy":    "ksite_greedy_ns_per_op",
-	"BenchmarkKSiteExact":     "ksite_exact_ns_per_op",
-}
-
-// shardToKey maps the sharded-serving benchmarks (router over real
-// worker processes) to BENCH_7.json headline keys — the "shard" set.
-var shardToKey = map[string]string{
-	"BenchmarkShardedSweepRouter":   "sharded_sweep_router_ns_per_op",
-	"BenchmarkShardedSweepDirect":   "sharded_sweep_direct_ns_per_op",
-	"BenchmarkShardedSweepParallel": "sharded_sweep_parallel_ns_per_op",
-}
-
-// generateToKey maps the ensemble-generation benchmarks (single-scan
-// batch pipeline vs retained reference path) to BENCH_8.json headline
-// keys — the "generate" set.
-var generateToKey = map[string]string{
-	"BenchmarkGenerateBatch":           "generate_batch_ns_per_op",
-	"BenchmarkGenerateReference":       "generate_reference_ns_per_op",
-	"BenchmarkGenerateSolverBatch":     "generate_solver_batch_ns_per_op",
-	"BenchmarkGenerateSolverReference": "generate_solver_reference_ns_per_op",
-}
-
-// storeToKey maps the content-addressed store and write-path
-// benchmarks to BENCH_9.json headline keys — the "store" set.
-var storeToKey = map[string]string{
-	"BenchmarkStorePut":       "store_put_ns_per_op",
-	"BenchmarkStoreGet":       "store_get_ns_per_op",
-	"BenchmarkStoreWarmStart": "store_warm_start_ns_per_op",
-	"BenchmarkUploadToSweep":  "upload_to_sweep_ns_per_op",
-}
-
-// obsToKey maps the fleet-observability benchmarks (remote-parent
-// trace adoption, traceparent handling with tracing off, federated
-// metrics merge) to BENCH_10.json headline keys — the "obs" set.
-var obsToKey = map[string]string{
-	"BenchmarkObsRemoteTracedSweep":   "serve_sweep_remote_traced_ns_per_op",
-	"BenchmarkObsPropagationOffSweep": "serve_sweep_propagation_off_ns_per_op",
-	"BenchmarkObsFleetMerge":          "fleet_metrics_merge_ns_per_op",
-}
-
-// benchSets names the selectable benchmark tables.
-var benchSets = map[string]map[string]string{
-	"figures":    nameToKey,
-	"compressed": compressedToKey,
-	"serve":      serveToKey,
-	"trace":      traceToKey,
-	"placement":  placementToKey,
-	"shard":      shardToKey,
-	"generate":   generateToKey,
-	"store":      storeToKey,
-	"obs":        obsToKey,
-}
-
-// baseline is the subset of BENCH_1.json that benchcheck consumes.
-type baseline struct {
-	Headline map[string]float64 `json:"headline"`
-}
-
-// result is one compared benchmark.
+// result is one gated benchmark: its medians against its baseline.
 type result struct {
-	Name       string
-	Key        string
-	NsPerOp    float64
-	BaselineNs float64
-	Ratio      float64
+	Key       string
+	Got, Base entry
+	Ratio     float64 // Got.NsPerOp / Base.NsPerOp
+}
+
+// regressed names what failed the gate, or returns "" on a pass.
+func (r result) regressed() string {
+	switch {
+	case r.Ratio > maxRatio:
+		return "time"
+	case r.Got.AllocsPerOp > r.Base.AllocsPerOp:
+		return "allocs"
+	}
+	return ""
 }
 
 func main() {
-	baselinePath := flag.String("baseline", "BENCH_1.json", "baseline JSON file with a headline section")
-	input := flag.String("input", "", "benchmark output file (default: stdin)")
-	maxRatio := flag.Float64("max-ratio", 3.0, "fail when ns/op exceeds baseline by more than this factor")
-	setName := flag.String("set", "figures", "benchmark set to gate: figures, compressed, serve, trace, placement, shard, generate, store, or obs")
+	baselinePath := flag.String("baseline", "tools/benchcheck/baseline.json", "baseline file: median ns/op and highest allocs/op per benchmark")
+	input := flag.String("input", "", "`go test -bench -benchmem -count N` output (default: stdin)")
+	write := flag.Bool("write", false, "write the baseline from the input instead of checking against it")
 	flag.Parse()
-
-	table, ok := benchSets[*setName]
-	if !ok {
-		fatal(fmt.Errorf("unknown benchmark set %q (have: figures, compressed, serve, trace, placement, shard, generate, store, obs)", *setName))
-	}
 
 	in := io.Reader(os.Stdin)
 	if *input != "" {
@@ -184,34 +87,48 @@ func main() {
 		defer f.Close()
 		in = f
 	}
+	runs, err := parse(in)
+	if err != nil {
+		fatal(err)
+	}
+	if *write {
+		raw, err := json.MarshalIndent(baselineOf(runs), "", "  ")
+		if err != nil {
+			fatal(err)
+		}
+		if err := os.WriteFile(*baselinePath, append(raw, '\n'), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchcheck: wrote %d benchmarks to %s\n", len(runs), *baselinePath)
+		return
+	}
+
 	raw, err := os.ReadFile(*baselinePath)
 	if err != nil {
 		fatal(err)
 	}
-	var base baseline
+	var base map[string]entry
 	if err := json.Unmarshal(raw, &base); err != nil {
 		fatal(fmt.Errorf("%s: %w", *baselinePath, err))
 	}
-
-	results, err := check(table, base.Headline, in)
+	results, err := check(base, runs)
 	if err != nil {
 		fatal(err)
 	}
-	failed := false
+	failed := 0
 	for _, r := range results {
 		verdict := "ok"
-		if r.Ratio > *maxRatio {
-			verdict = "REGRESSION"
-			failed = true
+		if what := r.regressed(); what != "" {
+			verdict = "REGRESSION (" + what + ")"
+			failed++
 		}
-		fmt.Printf("%-40s %12.0f ns/op  baseline %12.0f  ratio %5.2f  %s\n",
-			r.Name, r.NsPerOp, r.BaselineNs, r.Ratio, verdict)
+		fmt.Printf("%-72s %13.0f ns/op %5.2fx  %6.0f allocs/op (baseline %.0f)  %s\n",
+			r.Key, r.Got.NsPerOp, r.Ratio, r.Got.AllocsPerOp, r.Base.AllocsPerOp, verdict)
 	}
-	if failed {
-		fmt.Fprintf(os.Stderr, "benchcheck: benchmark regression beyond %.1fx baseline\n", *maxRatio)
-		os.Exit(1)
+	if failed > 0 {
+		fatal(fmt.Errorf("%d of %d benchmarks regressed: median ns/op over %.0fx baseline, or median allocs/op over baseline", failed, len(results), maxRatio))
 	}
-	fmt.Printf("benchcheck: %d benchmarks within %.1fx of baseline\n", len(results), *maxRatio)
+	fmt.Printf("benchcheck: %d benchmarks within %.0fx of baseline time and at or under baseline allocs\n", len(results), maxRatio)
 }
 
 func fatal(err error) {
@@ -219,84 +136,132 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// check parses benchmark output and compares every benchmark mapped by
-// the set's table against the baseline. It errors when a mapped
-// benchmark is missing from the input or the baseline, so the gate
-// cannot rot silently.
-func check(table map[string]string, headline map[string]float64, r io.Reader) ([]result, error) {
-	seen := map[string]result{}
+// parse collects every benchmark result line of `go test -bench`
+// output under its package-qualified key. Every benchmark must report
+// allocs/op (-benchmem) and must have run at least minRuns times.
+func parse(r io.Reader) (map[string]*samples, error) {
+	runs := map[string]*samples{}
+	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		name, ns, ok := parseLine(sc.Text())
+		line := sc.Text()
+		if p, ok := strings.CutPrefix(line, "pkg: "); ok {
+			pkg = strings.TrimSpace(p)
+			continue
+		}
+		name, ns, allocs, ok := parseLine(line)
 		if !ok {
 			continue
 		}
-		key, mapped := table[name]
-		if !mapped {
-			continue
+		if pkg == "" {
+			return nil, fmt.Errorf("%s: result before any pkg: line", name)
 		}
-		base, ok := headline[key]
-		if !ok || base <= 0 {
-			return nil, fmt.Errorf("baseline has no usable %q entry for %s", key, name)
+		if allocs < 0 {
+			return nil, fmt.Errorf("%s: no allocs/op (run with -benchmem)", name)
 		}
-		// Keep the slowest sample if a benchmark ran more than once.
-		if prev, dup := seen[name]; !dup || ns > prev.NsPerOp {
-			seen[name] = result{Name: name, Key: key, NsPerOp: ns, BaselineNs: base, Ratio: ns / base}
+		key := pkg + "." + name
+		s := runs[key]
+		if s == nil {
+			s = &samples{}
+			runs[key] = s
 		}
+		s.ns = append(s.ns, ns)
+		s.allocs = append(s.allocs, allocs)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	var missing []string
-	for name := range table {
-		if _, ok := seen[name]; !ok {
-			missing = append(missing, name)
+	var short []string
+	for key, s := range runs {
+		if len(s.ns) < minRuns {
+			short = append(short, fmt.Sprintf("%s (%d)", key, len(s.ns)))
 		}
 	}
-	if len(missing) > 0 {
-		return nil, fmt.Errorf("benchmarks missing from input: %s", strings.Join(missing, ", "))
+	if len(short) > 0 {
+		sort.Strings(short)
+		return nil, fmt.Errorf("fewer than %d runs (use -count %d): %s", minRuns, minRuns, strings.Join(short, ", "))
 	}
-	// Deterministic report order: follow the baseline key order is not
-	// available from a map, so sort by name via simple insertion over
-	// the fixed table size.
-	out := make([]result, 0, len(seen))
-	for _, r := range seen {
-		out = append(out, r)
+	return runs, nil
+}
+
+// summary summarizes one non-empty sample.
+func summary(xs []float64) stats.Summary {
+	s, _ := stats.Summarize(xs) // errors only on an empty sample
+	return s
+}
+
+// baselineOf renders parsed runs as a baseline: the median ns/op and
+// the highest allocs/op of each benchmark.
+func baselineOf(runs map[string]*samples) map[string]entry {
+	base := make(map[string]entry, len(runs))
+	for key, s := range runs {
+		base[key] = entry{NsPerOp: summary(s.ns).P50, AllocsPerOp: summary(s.allocs).Max}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	return base
+}
+
+// check compares the median ns/op and allocs/op of every parsed
+// benchmark against its baseline entry, sorted by key. It errors when
+// the input and the baseline do not name the same benchmarks, so the
+// gate cannot rot silently.
+func check(base map[string]entry, runs map[string]*samples) ([]result, error) {
+	var missing, unknown []string
+	for key := range base {
+		if runs[key] == nil {
+			missing = append(missing, key)
 		}
 	}
+	out := make([]result, 0, len(runs))
+	for key, s := range runs {
+		b, ok := base[key]
+		if !ok || b.NsPerOp <= 0 {
+			unknown = append(unknown, key)
+			continue
+		}
+		got := entry{NsPerOp: summary(s.ns).P50, AllocsPerOp: summary(s.allocs).P50}
+		out = append(out, result{Key: key, Got: got, Base: b, Ratio: got.NsPerOp / b.NsPerOp})
+	}
+	sort.Strings(missing)
+	sort.Strings(unknown)
+	switch {
+	case len(missing) > 0:
+		return nil, fmt.Errorf("baseline benchmarks missing from input: %s", strings.Join(missing, ", "))
+	case len(unknown) > 0:
+		return nil, fmt.Errorf("benchmarks with no usable baseline entry (rerun with -write): %s", strings.Join(unknown, ", "))
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out, nil
 }
 
-// parseLine extracts (name, ns/op) from one `go test -bench` output
-// line, stripping the -GOMAXPROCS suffix from the benchmark name.
-func parseLine(line string) (string, float64, bool) {
+// parseLine extracts (name, ns/op, allocs/op) from one `go test -bench`
+// result line, stripping the -GOMAXPROCS suffix from the name. allocs
+// is -1 when the line reports no allocs/op.
+func parseLine(line string) (name string, ns, allocs float64, ok bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
-		return "", 0, false
+		return "", 0, 0, false
 	}
-	nsIdx := -1
-	for i, f := range fields {
-		if f == "ns/op" {
-			nsIdx = i
-			break
+	ns, allocs = -1, -1
+	for i := 2; i+1 < len(fields); i++ {
+		v, err := strconv.ParseFloat(fields[i], 64)
+		if err != nil {
+			continue
+		}
+		switch fields[i+1] {
+		case "ns/op":
+			ns = v
+		case "allocs/op":
+			allocs = v
 		}
 	}
-	if nsIdx < 2 {
-		return "", 0, false
+	if ns < 0 {
+		return "", 0, 0, false
 	}
-	ns, err := strconv.ParseFloat(fields[nsIdx-1], 64)
-	if err != nil {
-		return "", 0, false
-	}
-	name := fields[0]
+	name = fields[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	return name, ns, true
+	return name, ns, allocs, true
 }
