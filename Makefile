@@ -93,9 +93,9 @@ bench-smoke-all: bench-smoke bench-serve bench-placement bench-shard bench-gener
 
 # Short fuzz runs over every fuzz target: the hazard ensemble codecs
 # (JSON and CSV readers), the compressed-matrix wire codec, the
-# topology and generation-parameter decoders, the sweep query
-# validation the router and the worker share, and the traceparent
-# parser. 30s per target keeps the job a few minutes while still
+# topology and generation-parameter decoders, the read-query parse
+# the router and the worker share (sweep, figure and placement), and
+# the traceparent parser. 30s per target keeps the job a few minutes while still
 # churning through millions of hostile inputs; `go test -fuzz` accepts
 # one target per invocation, hence one line each.
 fuzz-smoke:
@@ -104,7 +104,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodeCompressedMatrix' -fuzztime 30s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz 'FuzzTopologyUpload' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzEnsembleParams' -fuzztime 30s ./internal/serve/
-	$(GO) test -run '^$$' -fuzz 'FuzzSweepQuery' -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz 'FuzzReadQuery' -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz 'FuzzTraceParent' -fuzztime 30s ./internal/obs/
 
 # Full benchmark sweep with allocation counts (slow: regenerates the

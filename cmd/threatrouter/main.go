@@ -75,7 +75,7 @@ func run(args []string) (err error) {
 	backends := fs.String("backends", "", "comma-separated worker base URLs (required)")
 	replicas := fs.Int("replicas", 0, "ring points per backend (0 = 64)")
 	timeout := fs.Duration("timeout", 15*time.Second, "per-request deadline, covering retries and hedges")
-	hedge := fs.Duration("hedge", 0, "hedge batchable reads onto a second worker after this delay (0 = off)")
+	hedge := fs.Duration("hedge", 0, "hedge sweep, figure and placement reads onto a second worker after this delay (0 = off)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "worker health probe period")
 	maxBody := fs.Int64("max-body", 1<<20, "maximum POST body bytes")
 	maxUpload := fs.Int64("max-upload", 0, "maximum topology/ensemble upload body bytes (0 = 4 MiB)")

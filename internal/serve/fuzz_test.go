@@ -1,11 +1,11 @@
 package serve
 
 import (
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -77,62 +77,184 @@ func FuzzEnsembleParams(f *testing.F) {
 	})
 }
 
-// FuzzSweepQuery checks the router's sweep validation (SweepShape)
-// against the worker's GET /v1/sweep handler over arbitrary raw query
-// strings: no panics; every query SweepShape rejects, it rejects with
-// a 400 the worker also answers, so the router never refuses what a
-// worker would serve; and reordering the query's &-separated pairs
-// changes neither the shard identity nor the response key.
-func FuzzSweepQuery(f *testing.F) {
-	f.Add("scenario=both")
-	f.Add("scenario=both&config=6-6&config=6%2B6%2B6")
-	f.Add("config=2&primary=a&second=b&data_center=c")
-	f.Add("ensemble=nope&scenario=nope")
-	f.Add("config=7&ensemble=oahu")
-	f.Add("%zz&scenario=;&&config=2")
+// The read kinds FuzzReadQuery drives, each through its parse and the
+// worker's handler.
+const (
+	readSweepGet = iota
+	readSweepPost
+	readFigure
+	readPlacement
+	readKinds
+)
+
+// readReq is one read request as text: a query string, a POST body, or
+// for a figure "id" or "id?query".
+type readReq struct {
+	kind int
+	raw  string
+}
+
+// figureParts splits a figure's raw text into its id and query.
+func (rr readReq) figureParts() (id, rawQuery string) {
+	id, rawQuery, _ = strings.Cut(rr.raw, "?")
+	return id, rawQuery
+}
+
+// parse runs the kind's parse, as the router does, and renders the
+// parsed query's identity and response key.
+func (rr readReq) parse() (identity, key string, err error) {
+	switch rr.kind {
+	case readSweepGet:
+		q, _ := url.ParseQuery(rr.raw) // as r.URL.Query(): malformed pairs drop
+		sq, err := ParseSweepQuery(q)
+		return sq.Identity(), sq.Key(http.MethodGet), err
+	case readSweepPost:
+		sq, err := ParseSweepBody(strings.NewReader(rr.raw))
+		return sq.Identity(), sq.Key(http.MethodPost), err
+	case readFigure:
+		id, rawQuery := rr.figureParts()
+		q, _ := url.ParseQuery(rawQuery)
+		fq, err := ParseFigure(id, q)
+		return fq.Identity(), fq.Key(http.MethodGet), err
+	default:
+		q, _ := url.ParseQuery(rr.raw)
+		pq, err := ParsePlacement(q)
+		return pq.Identity(), pq.Key(http.MethodGet), err
+	}
+}
+
+// request builds the HTTP request the router would forward.
+func (rr readReq) request() *http.Request {
+	switch rr.kind {
+	case readSweepGet:
+		req := httptest.NewRequest(http.MethodGet, "/v1/sweep", nil)
+		req.URL.RawQuery = rr.raw
+		return req
+	case readSweepPost:
+		return httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(rr.raw))
+	case readFigure:
+		id, rawQuery := rr.figureParts()
+		req := httptest.NewRequest(http.MethodGet, "/v1/figure/"+id, nil)
+		req.URL.RawQuery = rawQuery
+		return req
+	default:
+		req := httptest.NewRequest(http.MethodGet, "/v1/placement", nil)
+		req.URL.RawQuery = rr.raw
+		return req
+	}
+}
+
+// reordered sorts rr's &-separated query pairs by decoded key,
+// descending. The sort is stable, so a repeated key's values keep
+// their order, which the answer does depend on. ok is false for a POST
+// body, which has no pairs.
+func (rr readReq) reordered() (readReq, bool) {
+	raw, prefix := rr.raw, ""
+	switch rr.kind {
+	case readSweepPost:
+		return rr, false
+	case readFigure:
+		id, rawQuery := rr.figureParts()
+		raw, prefix = rawQuery, id+"?"
+	}
+	pairs := strings.Split(raw, "&")
+	key := func(pair string) string {
+		k, _, _ := strings.Cut(pair, "=")
+		if u, err := url.QueryUnescape(k); err == nil {
+			return u
+		}
+		return k
+	}
+	sort.SliceStable(pairs, func(i, j int) bool { return key(pairs[i]) > key(pairs[j]) })
+	return readReq{rr.kind, prefix + strings.Join(pairs, "&")}, true
+}
+
+// FuzzReadQuery checks the one read-query parse the router and the
+// worker share, for every read kind (sweep GET, sweep POST body,
+// figure, placement ranking), over arbitrary request text:
+//
+//   - no panics;
+//   - a request the parse rejects gets, from the worker's handler, the
+//     status and error body the router renders for that rejection;
+//   - reordering a query's &-separated pairs keeps both the shard
+//     identity and the response key;
+//   - accepted requests with equal response keys get byte-identical
+//     worker answers. The seeds include pairs that differ only in
+//     defaulted fields, which must share a key.
+func FuzzReadQuery(f *testing.F) {
+	for _, rr := range []readReq{
+		{readSweepGet, "scenario=both"},
+		{readSweepGet, "scenario=both&config=6-6&config=6%2B6%2B6"},
+		{readSweepGet, "config=2&primary=a&second=b&data_center=c"},
+		{readSweepGet, "ensemble=nope&scenario=nope"},
+		{readSweepGet, "config=7&ensemble=oahu"},
+		{readSweepGet, "%zz&scenario=;&&config=2"},
+		{readSweepGet, "bogus=1"},
+		{readSweepGet, "00&92027"}, // two unknown parameters
+		// Defaulted fields, omitted and spelled out: one key each pair.
+		{readSweepGet, ""},
+		{readSweepGet, "scenario="},
+		{readSweepGet, "scenario=hurricane"},
+		{readSweepGet, "primary=honolulu-cc&second=waiau-plant&data_center=drfortress-dc"},
+		{readSweepGet, "config=2&config=2-2&config=6&config=6-6&config=6%2B6%2B6"},
+		{readSweepPost, `{"scenario":"both"}`},
+		{readSweepPost, `{"scenario":"both","primary":"honolulu-cc","configs":[]}`},
+		{readSweepPost, `{"scenario":"both","bogus":1}`},
+		{readSweepPost, `{"scenario":`},
+		{readFigure, "9"},
+		{readFigure, "09?ensemble="},
+		{readFigure, "9?bogus=1"},
+		{readFigure, "5"},
+		{readFigure, "six?ensemble=nope"},
+		{readPlacement, "primary=honolulu-cc"},
+		{readPlacement, "primary=honolulu-cc&objective=green&scenario="},
+		{readPlacement, "ensemble=nope"},
+		{readPlacement, "primary=honolulu-cc&limit=0&objective=pink"},
+		{readPlacement, "primary=honolulu-cc&data_center=drfortress-dc&limit=2"},
+	} {
+		f.Add(uint8(rr.kind), rr.raw)
+	}
 	s, _ := newTestServer(f, Options{})
 	h := s.Handler()
-	f.Fuzz(func(t *testing.T, raw string) {
-		q, _ := url.ParseQuery(raw) // as r.URL.Query(): malformed pairs drop
-		shape, err := SweepShape(q, nil)
-		if err != nil {
-			var ae *apiError
-			if !errors.As(err, &ae) || ae.status != http.StatusBadRequest {
-				t.Fatalf("SweepShape(%q) rejects with %v, want a 400", raw, err)
+	// answers holds the worker's answer per accepted response key, up
+	// to a bound, so later inputs with a seen key are compared with it.
+	answers := make(map[string]string)
+	f.Fuzz(func(t *testing.T, kind uint8, raw string) {
+		rr := readReq{int(kind) % readKinds, raw}
+		if rr.kind == readFigure {
+			// The id is one path segment the mux routes unchanged.
+			if id, _ := rr.figureParts(); id == "" || strings.Trim(id, "0123456789abcdefghijklmnopqrstuvwxyz-+") != "" {
+				return
 			}
-			req := httptest.NewRequest(http.MethodGet, "/v1/sweep", nil)
-			req.URL.RawQuery = raw
-			w := httptest.NewRecorder()
-			h.ServeHTTP(w, req)
-			if w.Code != http.StatusBadRequest {
-				t.Fatalf("SweepShape(%q) = 400 (%v), worker = %d: %s", raw, err, w.Code, w.Body.String())
+		}
+		identity, key, err := rr.parse()
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, rr.request())
+		if err != nil {
+			status, code := ErrorStatus(err)
+			want := httptest.NewRecorder()
+			WriteError(want, status, code, err.Error())
+			if w.Code != want.Code || w.Body.String() != want.Body.String() {
+				t.Fatalf("%+v: parse rejects with %d %s, worker answers %d %s", rr, want.Code, want.Body, w.Code, w.Body)
 			}
 			return
 		}
-
-		// Reorder the pairs by decoded key, descending. The sort is
-		// stable, so a repeated key's values keep their order, which
-		// the answer does depend on.
-		pairs := strings.Split(raw, "&")
-		key := func(pair string) string {
-			k, _, _ := strings.Cut(pair, "=")
-			if u, err := url.QueryUnescape(k); err == nil {
-				return u
-			}
-			return k
+		answer := strconv.Itoa(w.Code) + " " + w.Body.String()
+		if prev, ok := answers[key]; ok && prev != answer {
+			t.Fatalf("%+v: key %q answered %s, an earlier request with that key %s", rr, key, answer, prev)
+		} else if !ok && len(answers) < 4096 {
+			answers[key] = answer
 		}
-		sort.SliceStable(pairs, func(i, j int) bool { return key(pairs[i]) > key(pairs[j]) })
-		reordered := strings.Join(pairs, "&")
-		q2, _ := url.ParseQuery(reordered)
-		shape2, err := SweepShape(q2, nil)
+		rr2, ok := rr.reordered()
+		if !ok {
+			return
+		}
+		identity2, key2, err := rr2.parse()
 		if err != nil {
-			t.Fatalf("SweepShape accepts %q but rejects its reordering %q: %v", raw, reordered, err)
+			t.Fatalf("parse accepts %+v but rejects its reordering %+v: %v", rr, rr2, err)
 		}
-		if shape2 != shape {
-			t.Fatalf("reordering %q as %q changes the shape: %+v != %+v", raw, reordered, shape2, shape)
-		}
-		if k1, k2 := ResponseKey(http.MethodGet, "/v1/sweep", q, nil), ResponseKey(http.MethodGet, "/v1/sweep", q2, nil); k1 != k2 {
-			t.Fatalf("reordering %q as %q changes the response key: %q != %q", raw, reordered, k2, k1)
+		if identity2 != identity || key2 != key {
+			t.Fatalf("reordering %+v as %+v changes identity %q → %q or key %q → %q", rr, rr2, identity, identity2, key, key2)
 		}
 	})
 }

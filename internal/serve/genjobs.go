@@ -165,7 +165,7 @@ func (s *Server) commitEnsemble(j *genJob, e *hazard.Ensemble, client string) er
 // ---- GET /v1/ensembles/jobs/{id} ----
 
 func (s *Server) handleEnsembleJob(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	id := r.PathValue("id")

@@ -140,26 +140,25 @@ func writeJSONTraced(ctx context.Context, w http.ResponseWriter, v any) error {
 	return err
 }
 
-// checkParams rejects query parameters outside the allowed set, so
+// CheckParams rejects query parameters outside the allowed set, so
 // typos ("scenrio=both") fail loudly instead of silently running the
 // default query. q is the request's already-parsed query: a handler
-// parses its query once and validates and reads the same values.
-func checkParams(q url.Values, allowed ...string) error {
+// parses its query once and validates and reads the same values. The
+// router checks its own endpoints with it too. Of several unknown
+// parameters it names the least, so the message does not depend on map
+// order and a router's rejection matches a worker's byte for byte.
+func CheckParams(q url.Values, allowed ...string) error {
+	unknown, found := "", false
 	for k := range q {
-		if !slices.Contains(allowed, k) {
-			return badRequestf("unknown parameter %q (allowed: %v)", k, allowed)
+		if !slices.Contains(allowed, k) && (!found || k < unknown) {
+			unknown, found = k, true
 		}
+	}
+	if found {
+		return badRequestf("unknown parameter %q (allowed: %v)", unknown, allowed)
 	}
 	return nil
 }
-
-// The query parameters each read endpoint accepts. Package-level, so a
-// valid request passes its list to checkParams without building one.
-var (
-	sweepParams     = []string{"ensemble", "scenario", "config", "primary", "second", "data_center"}
-	figureParams    = []string{"ensemble"}
-	placementParams = []string{"ensemble", "primary", "scenario", "data_center", "objective", "limit"}
-)
 
 // Answer bodies are fixed-order structs, not maps: encoding/json
 // renders a struct in field order with no per-request key sort, and
@@ -227,7 +226,7 @@ type placementJSON struct {
 // ---- /v1/healthz ----
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	type ensembleJSON struct {
@@ -268,7 +267,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) error {
 // ---- /v1/report ----
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -281,7 +280,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) error {
 // in Prometheus text exposition format. With observability disabled it
 // still answers 200 with a comment line, so scrapes never error.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -296,7 +295,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
 // traces returned per ring.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	if err := checkParams(q, "limit"); err != nil {
+	if err := CheckParams(q, "limit"); err != nil {
 		return err
 	}
 	limit := 0
@@ -343,7 +342,7 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) error {
 // fetch that follows the original request always finds it (until ring
 // eviction).
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	if s.tracer == nil {
@@ -359,69 +358,42 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
 
 // ---- /v1/sweep ----
 
-// sweepRequest is the query for GET and POST /v1/sweep. Zero-value
-// fields take the documented defaults: the sole loaded ensemble, the
-// hurricane scenario, the paper's Honolulu/Waiau/DRFortress placement,
-// and all five standard configurations.
-type sweepRequest struct {
-	Ensemble   string   `json:"ensemble"`
-	Scenario   string   `json:"scenario"`
-	Configs    []string `json:"configs"`
-	Primary    string   `json:"primary"`
-	Second     string   `json:"second"`
-	DataCenter string   `json:"data_center"`
-}
-
 func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) error {
-	q := r.URL.Query()
-	if err := checkParams(q, sweepParams...); err != nil {
-		return err
-	}
-	return s.sweep(w, r, sweepRequest{
-		Ensemble:   q.Get("ensemble"),
-		Scenario:   q.Get("scenario"),
-		Configs:    q["config"],
-		Primary:    q.Get("primary"),
-		Second:     q.Get("second"),
-		DataCenter: q.Get("data_center"),
-	})
+	return s.sweep(w, r, func() (SweepQuery, error) { return ParseSweepQuery(r.URL.Query()) })
 }
 
 func (s *Server) handleSweepPost(w http.ResponseWriter, r *http.Request) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req sweepRequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return badRequestf("invalid request body: %v", err)
-	}
-	return s.sweep(w, r, req)
+	return s.sweep(w, r, func() (SweepQuery, error) {
+		return ParseSweepBody(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	})
 }
 
-// sweep resolves, validates, evaluates, and renders one sweep query.
+// sweep parses, resolves, evaluates, and renders one sweep query.
 // Each stage is recorded as a span of the request's trace (when
 // tracing is on), so a slow sweep's trace reads
 // validate → cache (→ compile) → evaluate → encode.
-func (s *Server) sweep(w http.ResponseWriter, r *http.Request, req sweepRequest) error {
+func (s *Server) sweep(w http.ResponseWriter, r *http.Request, parse func() (SweepQuery, error)) error {
 	ctx := r.Context()
 	vsp := obs.SpanFromContext(ctx).StartChild("validate")
-	ens, scenario, p, configs, universe, err := s.validateSweep(req)
+	q, err := parse()
+	var ens *ensembleEntry
+	if err == nil {
+		ens, err = s.ensembleFor(q.Ensemble, q.universe)
+	}
 	vsp.End()
 	if err != nil {
 		return err
 	}
-	outcomes, err := s.evaluate(ctx, ens, universe, configs, scenario)
+	outcomes, err := s.evaluate(ctx, ens, q.universe, q.configs, q.scenario)
 	if err != nil {
 		return err
 	}
+	p := q.placement
 	return writeJSONTraced(ctx, w, sweepJSON{
 		Ensemble:  ens.name,
 		Outcomes:  outcomes,
 		Placement: placementJSON{p.Primary, p.Second, p.DataCenter},
-		Scenario:  scenario.String(),
+		Scenario:  q.scenario.String(),
 	})
 }
 
@@ -433,117 +405,20 @@ type sweepJSON struct {
 	Scenario  string        `json:"scenario"`
 }
 
-// validateSweep resolves and validates everything a sweep query names:
-// the ensemble, the scenario, the placement-adjusted configurations,
-// and their asset universe.
-func (s *Server) validateSweep(req sweepRequest) (*ensembleEntry, threat.Scenario, topology.Placement, []topology.Config, []string, error) {
-	var zero topology.Placement
-	scenario, err := parseScenario(req.Scenario)
+// ensembleFor resolves a parsed query's ensemble and checks that it
+// holds failure data for every asset of the query's universe: the half
+// of a read's validation that needs the server's state. It runs after
+// the parse, so a request the parse rejects gets the parse's 400, not
+// a 404 for its ensemble.
+func (s *Server) ensembleFor(name string, universe []string) (*ensembleEntry, error) {
+	ens, err := s.ensemble(name)
 	if err != nil {
-		return nil, 0, zero, nil, nil, err
-	}
-	p := analysis.PlacementHWD()
-	if req.Primary != "" {
-		p.Primary = req.Primary
-	}
-	if req.Second != "" {
-		p.Second = req.Second
-	}
-	if req.DataCenter != "" {
-		p.DataCenter = req.DataCenter
-	}
-	configs, err := selectConfigs(p, req.Configs)
-	if err != nil {
-		return nil, 0, zero, nil, nil, err
-	}
-	universe, err := universeOf(configs)
-	if err != nil {
-		return nil, 0, zero, nil, nil, badRequestf("%v", err)
-	}
-	// The ensemble resolves after the checks SweepShape also makes, so
-	// a query the router rejects with a 400 gets the same 400 here,
-	// not a 404 for its ensemble.
-	ens, err := s.ensemble(req.Ensemble)
-	if err != nil {
-		return nil, 0, zero, nil, nil, err
+		return nil, err
 	}
 	if err := ens.checkAssets(universe); err != nil {
-		return nil, 0, zero, nil, nil, err
+		return nil, err
 	}
-	return ens, scenario, p, configs, universe, nil
-}
-
-// parseScenario maps the API's scenario parameter (empty = hurricane).
-func parseScenario(name string) (threat.Scenario, error) {
-	if name == "" {
-		return threat.Hurricane, nil
-	}
-	sc, err := threat.ParseScenario(name)
-	if err != nil {
-		return 0, badRequestf("%v", err)
-	}
-	return sc, nil
-}
-
-// selectConfigs materializes the requested configuration names for a
-// placement; nil names = the paper's five standard configurations.
-func selectConfigs(p topology.Placement, names []string) ([]topology.Config, error) {
-	if p.Primary == "" || p.Second == "" || p.DataCenter == "" {
-		return nil, badRequestf("placement needs primary, second, and data_center")
-	}
-	if len(names) == 0 {
-		configs, err := topology.StandardConfigs(p)
-		if err != nil {
-			return nil, badRequestf("%v", err)
-		}
-		return configs, nil
-	}
-	out := make([]topology.Config, 0, len(names))
-	seen := make(map[string]bool, len(names))
-	for _, name := range names {
-		if seen[name] {
-			return nil, badRequestf("duplicate config %q", name)
-		}
-		seen[name] = true
-		var cfg topology.Config
-		switch name {
-		case "2":
-			cfg = topology.NewConfig2(p.Primary)
-		case "2-2":
-			cfg = topology.NewConfig22(p.Primary, p.Second)
-		case "6":
-			cfg = topology.NewConfig6(p.Primary)
-		case "6-6":
-			cfg = topology.NewConfig66(p.Primary, p.Second)
-		case "6+6+6":
-			cfg = topology.NewConfig666(p.Primary, p.Second, p.DataCenter)
-		default:
-			return nil, badRequestf("unknown config %q (want 2, 2-2, 6, 6-6, or 6+6+6)", name)
-		}
-		out = append(out, cfg)
-	}
-	return out, nil
-}
-
-// universeOf validates every configuration and returns the union of
-// their site assets in first-occurrence order — the same universe the
-// batch pipeline compiles, so serving and batch share cache-key shape
-// and results.
-func universeOf(configs []topology.Config) ([]string, error) {
-	var universe []string
-	seen := make(map[string]bool)
-	for _, cfg := range configs {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-		for _, site := range cfg.Sites {
-			if !seen[site.AssetID] {
-				seen[site.AssetID] = true
-				universe = append(universe, site.AssetID)
-			}
-		}
-	}
-	return universe, nil
+	return ens, nil
 }
 
 // checkAssets rejects queries over assets the ensemble has no failure
@@ -594,12 +469,17 @@ func (s *Server) evaluate(ctx context.Context, ens *ensembleEntry, universe []st
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
 	vsp := obs.SpanFromContext(ctx).StartChild("validate")
-	ens, fig, configs, universe, err := s.validateFigure(r)
+	q, err := ParseFigure(r.PathValue("id"), r.URL.Query())
+	var ens *ensembleEntry
+	if err == nil {
+		ens, err = s.ensembleFor(q.Ensemble, q.universe)
+	}
 	vsp.End()
 	if err != nil {
 		return err
 	}
-	outcomes, err := s.evaluate(ctx, ens, universe, configs, fig.Scenario)
+	fig := q.fig
+	outcomes, err := s.evaluate(ctx, ens, q.universe, q.configs, fig.Scenario)
 	if err != nil {
 		return err
 	}
@@ -623,57 +503,27 @@ type figureJSON struct {
 	Title     string        `json:"title"`
 }
 
-// validateFigure resolves and validates a figure query: the figure ID,
-// the ensemble, and the figure's standard configurations and universe.
-func (s *Server) validateFigure(r *http.Request) (*ensembleEntry, analysis.Figure, []topology.Config, []string, error) {
-	var zero analysis.Figure
-	q := r.URL.Query()
-	if err := checkParams(q, figureParams...); err != nil {
-		return nil, zero, nil, nil, err
-	}
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		return nil, zero, nil, nil, badRequestf("figure id %q is not a number", r.PathValue("id"))
-	}
-	fig, err := analysis.FigureByID(id)
-	if err != nil {
-		return nil, zero, nil, nil, notFoundf("%v", err)
-	}
-	ens, err := s.ensemble(q.Get("ensemble"))
-	if err != nil {
-		return nil, zero, nil, nil, err
-	}
-	configs, err := topology.StandardConfigs(fig.Placement)
-	if err != nil {
-		return nil, zero, nil, nil, badRequestf("%v", err)
-	}
-	universe, err := universeOf(configs)
-	if err != nil {
-		return nil, zero, nil, nil, badRequestf("%v", err)
-	}
-	if err := ens.checkAssets(universe); err != nil {
-		return nil, zero, nil, nil, err
-	}
-	return ens, fig, configs, universe, nil
-}
-
 // ---- /v1/placement ----
 
 func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) error {
 	ctx := r.Context()
 	vsp := obs.SpanFromContext(ctx).StartChild("validate")
-	pq, err := s.validatePlacement(r)
+	q, err := ParsePlacement(r.URL.Query())
+	var c placementCandidates
+	if err == nil {
+		c, err = s.placementCandidates(&q)
+	}
 	vsp.End()
 	if err != nil {
 		return err
 	}
-	candidates, err := s.evaluatePlacements(ctx, pq.ens, pq.universe, pq.placements, pq.configs, pq.scenario, pq.objective)
+	candidates, err := s.evaluatePlacements(ctx, c.ens, c.universe, c.placements, c.configs, q.scenario, q.objective)
 	if err != nil {
 		return err
 	}
 	total := len(candidates)
-	if pq.limit > 0 && pq.limit < len(candidates) {
-		candidates = candidates[:pq.limit]
+	if q.limit > 0 && q.limit < len(candidates) {
+		candidates = candidates[:q.limit]
 	}
 	out := make([]candidateJSON, len(candidates))
 	for i, c := range candidates {
@@ -685,10 +535,10 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) error {
 	}
 	return writeJSONTraced(ctx, w, placementAnswerJSON{
 		Candidates:      out,
-		Ensemble:        pq.ens.name,
-		Objective:       pq.objName,
-		Primary:         pq.primary,
-		Scenario:        pq.scenario.String(),
+		Ensemble:        c.ens.name,
+		Objective:       q.objName,
+		Primary:         q.primary,
+		Scenario:        q.scenario.String(),
 		TotalCandidates: total,
 	})
 }
@@ -710,85 +560,54 @@ type placementAnswerJSON struct {
 	TotalCandidates int             `json:"total_candidates"`
 }
 
-// placementQuery is one validated /v1/placement query: everything
-// handlePlacement needs after validation.
-type placementQuery struct {
+// placementCandidates is the candidate set of one placement ranking:
+// the resolved ensemble, every candidate placement, its 6+6+6
+// configuration, and their asset universe.
+type placementCandidates struct {
 	ens        *ensembleEntry
-	scenario   threat.Scenario
-	primary    string
-	objective  placement.Objective
-	objName    string
-	limit      int
 	placements []topology.Placement
 	configs    []topology.Config
 	universe   []string
 }
 
-// validatePlacement resolves and validates a placement query,
-// enumerating the candidate set exactly as the batch search does (the
-// serving layer only swaps the evaluation path for the cached view).
-func (s *Server) validatePlacement(r *http.Request) (placementQuery, error) {
-	var pq placementQuery
-	q := r.URL.Query()
-	if err := checkParams(q, placementParams...); err != nil {
-		return pq, err
-	}
-	ens, err := s.ensemble(q.Get("ensemble"))
+// placementCandidates resolves a parsed ranking's ensemble and
+// enumerates its candidates from the inventory exactly as the batch
+// search does (the serving layer only swaps the evaluation path for
+// the cached view).
+func (s *Server) placementCandidates(q *PlacementQuery) (placementCandidates, error) {
+	var c placementCandidates
+	ens, err := s.ensemble(q.Ensemble)
 	if err != nil {
-		return pq, err
+		return c, err
 	}
-	pq.ens = ens
-	pq.scenario, err = parseScenario(q.Get("scenario"))
-	if err != nil {
-		return pq, err
-	}
-	pq.primary = q.Get("primary")
-	if pq.primary == "" {
-		return pq, badRequestf("primary parameter required")
-	}
-	pq.objective, pq.objName = placement.GreenProbability, "green"
-	if o := q.Get("objective"); o != "" {
-		switch o {
-		case "green":
-		case "weighted":
-			pq.objective, pq.objName = placement.AvailabilityWeighted, "weighted"
-		default:
-			return pq, badRequestf("unknown objective %q (want green or weighted)", o)
-		}
-	}
-	if l := q.Get("limit"); l != "" {
-		pq.limit, err = strconv.Atoi(l)
-		if err != nil || pq.limit <= 0 {
-			return pq, badRequestf("limit %q is not a positive integer", l)
-		}
-	}
+	c.ens = ens
 	req := placement.Request{
 		Ensemble:  ens.e,
 		Inventory: s.inv,
-		Primary:   pq.primary,
-		Scenario:  pq.scenario,
+		Primary:   q.primary,
+		Scenario:  q.scenario,
 		Workers:   s.opt.Workers,
 	}
-	if dc := q.Get("data_center"); dc != "" {
-		pq.placements, err = placement.CandidateSecondSites(req, dc)
+	if q.dataCenter != "" {
+		c.placements, err = placement.CandidateSecondSites(req, q.dataCenter)
 	} else {
-		pq.placements, err = placement.CandidatePairs(req)
+		c.placements, err = placement.CandidatePairs(req)
 	}
 	if err != nil {
-		return pq, badRequestf("%v", err)
+		return c, badRequestf("%v", err)
 	}
-	pq.configs = make([]topology.Config, len(pq.placements))
-	for i, p := range pq.placements {
-		pq.configs[i] = topology.NewConfig666(p.Primary, p.Second, p.DataCenter)
+	c.configs = make([]topology.Config, len(c.placements))
+	for i, p := range c.placements {
+		c.configs[i] = topology.NewConfig666(p.Primary, p.Second, p.DataCenter)
 	}
-	pq.universe, err = universeOf(pq.configs)
+	c.universe, err = universeOf(c.configs)
 	if err != nil {
-		return pq, badRequestf("%v", err)
+		return c, badRequestf("%v", err)
 	}
-	if err := ens.checkAssets(pq.universe); err != nil {
-		return pq, err
+	if err := ens.checkAssets(c.universe); err != nil {
+		return c, err
 	}
-	return pq, nil
+	return c, nil
 }
 
 // evaluatePlacements scores every candidate placement against the

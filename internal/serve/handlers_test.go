@@ -49,6 +49,8 @@ func TestBadRequests(t *testing.T) {
 		{"figure unknown ensemble", "/v1/figure/6?ensemble=nope", http.StatusNotFound, "not_found"},
 		{"figure unknown param", "/v1/figure/6?scenario=both", http.StatusBadRequest, "bad_request"},
 		{"placement without primary", "/v1/placement", http.StatusBadRequest, "bad_request"},
+		// The parse's 400 comes before the ensemble's 404, as at the router.
+		{"placement without primary, unknown ensemble", "/v1/placement?ensemble=nope", http.StatusBadRequest, "bad_request"},
 		{"placement unknown primary", "/v1/placement?primary=zzz", http.StatusBadRequest, "bad_request"},
 		{"placement unknown objective", "/v1/placement?primary=honolulu-cc&objective=fastest", http.StatusBadRequest, "bad_request"},
 		{"placement zero limit", "/v1/placement?primary=honolulu-cc&limit=0", http.StatusBadRequest, "bad_request"},

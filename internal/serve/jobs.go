@@ -15,7 +15,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -65,58 +64,25 @@ func exportDone(g *registry[*job]) []jobEnvelope {
 
 // ---- POST /v1/placement/search ----
 
-// placementSearchRequest is the submit body.
-type placementSearchRequest struct {
-	Ensemble string `json:"ensemble"`
-	Scenario string `json:"scenario"`
-	K        int    `json:"k"`
-	Exact    bool   `json:"exact"`
-	// Objective is "green" (default) or "weighted".
-	Objective string `json:"objective"`
-	// Candidates overrides the candidate universe; empty = every
-	// control-site candidate in the server's inventory.
-	Candidates []string `json:"candidates"`
-	// MaxCandidates rejects larger universes at submit when > 0.
-	MaxCandidates int `json:"max_candidates"`
-}
-
 func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	var req placementSearchRequest
-	if err := dec.Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return err
-		}
-		return badRequestf("invalid request body: %v", err)
-	}
-	ens, err := s.ensemble(req.Ensemble)
+	q, err := ParsePlacementSearch(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	if err != nil {
 		return err
 	}
-	scenario, err := parseScenario(req.Scenario)
+	ens, err := s.ensemble(q.Ensemble)
 	if err != nil {
 		return err
-	}
-	objName, weights := "green", placement.GreenWeights
-	switch req.Objective {
-	case "", "green":
-	case "weighted":
-		objName, weights = "weighted", placement.AvailabilityWeights
-	default:
-		return badRequestf("unknown objective %q (want green or weighted)", req.Objective)
 	}
 	kreq := placement.KRequest{
 		Ensemble:      ens.e,
 		Inventory:     s.inv,
-		Candidates:    req.Candidates,
-		K:             req.K,
-		Scenario:      scenario,
-		Weights:       weights,
+		Candidates:    q.req.Candidates,
+		K:             q.req.K,
+		Scenario:      q.scenario,
+		Weights:       q.weights,
 		Workers:       s.opt.Workers,
-		Exact:         req.Exact,
-		MaxCandidates: req.MaxCandidates,
+		Exact:         q.req.Exact,
+		MaxCandidates: q.req.MaxCandidates,
 	}
 	// Validate synchronously: a malformed search fails this request,
 	// never a job the client has to poll to see die.
@@ -130,7 +96,7 @@ func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) e
 	kreq.Candidates = cands
 
 	key := fmt.Sprintf("%016x|%s|%s|%d|%t|%d|%s",
-		ens.hash, scenario, objName, req.K, req.Exact, req.MaxCandidates,
+		ens.hash, q.scenario, q.objName, q.req.K, q.req.Exact, q.req.MaxCandidates,
 		strings.Join(cands, "\x1f"))
 	j, coalesced, err := s.jobs.submit(key, func(id string) *job {
 		nj := &job{
@@ -143,10 +109,10 @@ func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) e
 				state:       jobRunning,
 			},
 			ensName:  ens.name,
-			scenario: scenario,
-			objName:  objName,
-			k:        req.K,
-			exact:    req.Exact,
+			scenario: q.scenario,
+			objName:  q.objName,
+			k:        q.req.K,
+			exact:    q.req.Exact,
 		}
 		kreq.Progress = func(p placement.KProgress) {
 			nj.mu.Lock()
@@ -186,7 +152,7 @@ func (s *Server) handlePlacementSearch(w http.ResponseWriter, r *http.Request) e
 // ---- GET /v1/placement/jobs/{id} ----
 
 func (s *Server) handlePlacementJob(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	id := r.PathValue("id")

@@ -431,6 +431,7 @@ func TestJobValidation(t *testing.T) {
 		{"bad objective", `{"k":2,"objective":"pink"}`, http.StatusBadRequest},
 		{"bad scenario", `{"k":2,"scenario":"meteor"}`, http.StatusBadRequest},
 		{"unknown ensemble", `{"k":2,"ensemble":"nope"}`, http.StatusNotFound},
+		{"bad scenario, unknown ensemble", `{"ensemble":"nope","scenario":"bad"}`, http.StatusBadRequest},
 		{"unknown candidate", `{"k":2,"candidates":["a","zzz"]}`, http.StatusBadRequest},
 		{"duplicate candidate", `{"k":2,"candidates":["a","a"]}`, http.StatusBadRequest},
 		{"over max candidates", `{"k":2,"max_candidates":2}`, http.StatusBadRequest},

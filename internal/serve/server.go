@@ -369,7 +369,7 @@ func (s *Server) ensembleNames() []string {
 // viewFor returns the cached compiled view for (ensemble, universe),
 // compiling and caching it on a miss. The universe is the deduplicated
 // union of the query's site assets in first-occurrence order, so every
-// query shape maps to a deterministic key. The whole lookup — and, on
+// parsed query maps to a deterministic key. The whole lookup — and, on
 // a miss, the wait for the compile — is recorded as a "cache" span of
 // the request's trace, annotated with this caller's outcome.
 func (s *Server) viewFor(ctx context.Context, ens *ensembleEntry, universe []string) (*view, error) {

@@ -509,7 +509,7 @@ func topologyResponse(t *uploadedTopology, created bool) map[string]any {
 // ---- GET /v1/topologies ----
 
 func (s *Server) handleTopologyList(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	list := s.uploads.topologyList()

@@ -53,7 +53,7 @@ const JobEnvelopeVersion = 1
 // server accepts work, 503 with the shutting_down envelope once Close
 // has run. Liveness plus inventory lives at /v1/healthz.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	if s.closed.Load() {
@@ -68,7 +68,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 // its shape, and the ensemble it belongs to — what a successor would
 // receive from a handoff, in the order it would receive it.
 func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	snap := s.cache.snapshot()
@@ -107,7 +107,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
 // the cache key exactly as /v1/views lists it.
 func (s *Server) handleViewExport(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	if err := checkParams(q, "key"); err != nil {
+	if err := CheckParams(q, "key"); err != nil {
 		return err
 	}
 	key := q.Get("key")
@@ -133,7 +133,7 @@ func (s *Server) handleViewExport(w http.ResponseWriter, r *http.Request) error 
 // realization count. An already-present key is not overwritten.
 func (s *Server) handleViewImport(w http.ResponseWriter, r *http.Request) error {
 	q := r.URL.Query()
-	if err := checkParams(q, "key"); err != nil {
+	if err := CheckParams(q, "key"); err != nil {
 		return err
 	}
 	if s.closed.Load() {
@@ -380,7 +380,7 @@ func jobFromEnvelope(env jobEnvelope) (*job, error) {
 // handleJobsExport lists every finished (done) placement job as a
 // versioned envelope, oldest first.
 func (s *Server) handleJobsExport(w http.ResponseWriter, r *http.Request) error {
-	if err := checkParams(r.URL.Query()); err != nil {
+	if err := CheckParams(r.URL.Query()); err != nil {
 		return err
 	}
 	envs := exportDone(s.jobs)

@@ -3,18 +3,21 @@
 // view onto a fixed pool of threatserver workers, so every view is
 // compiled (and its LRU slot paid for) on exactly one worker.
 //
-// The router holds no ensemble data. It derives each request's shard
-// identity with the serve package's QueryShape helpers — the same code
-// the workers validate requests with, so router and worker can never
-// disagree about which queries share a view — and resolves ensemble
-// names to content fingerprints from the workers' /v1/healthz
-// responses.
+// The router holds no ensemble data. It parses each read with the
+// serve package's read-query parse (serve.ParseSweepQuery and its
+// siblings) — the same parse the workers answer from, so router and
+// worker can never disagree about which queries share a view or which
+// requests are malformed — routes on the parsed query's shard identity,
+// and resolves ensemble names to content fingerprints from the
+// workers' /v1/healthz responses. A request the parse rejects is
+// answered at the router with the worker's exact error envelope.
 //
 // Three mechanisms ride on top of the ring:
 //
 //   - The response memo: a repeated read is answered at the router from
 //     a 4 MiB LRU of finished answers, keyed on the ensemble's content
-//     fingerprint plus the full request, with no backend call. An
+//     fingerprint plus the parsed query's response key, with no backend
+//     call. An
 //     answer is stored on its key's second fetch, only if it is a 200
 //     from a worker advertising the key's fingerprint. Concurrent
 //     identical misses collapse into one backend call whose waiters

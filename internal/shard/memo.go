@@ -59,8 +59,9 @@ type memoEntry struct {
 // doorkeeper of recently seen key hashes.
 //
 // The key must capture the full response identity: the resolved
-// ensemble fingerprint plus method, path, canonical query and body (see
-// serve.ResponseKey). A fingerprint is a content address, so a stored
+// ensemble fingerprint plus the parsed query's response key, which
+// holds the method and every field the answer depends on (see the
+// Key methods of serve.SweepQuery and its siblings). A fingerprint is a content address, so a stored
 // answer can never be served for different content once the router has
 // learned the new fingerprint; until the next health probe it may be,
 // exactly as routing itself still uses the old fingerprint.

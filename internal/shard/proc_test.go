@@ -21,6 +21,7 @@ import (
 	"os"
 	"os/exec"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -593,14 +594,19 @@ func BenchmarkShardedSweepParallel(b *testing.B) {
 
 // missSweeps lists distinct sweep URLs over one compiled view: every
 // ordered config list containing 6+6+6 (whose asset universe is always
-// the default placement's) under every scenario, with each optional
-// parameter either left to its default or spelled out. No two share a
-// memo key, so each is a router miss until it has been sent twice.
+// the default placement's) except the standard five in standard order
+// (the default list, which the memo-hit benchmarks send), under every
+// scenario, with the ensemble
+// either left to its default or named. No two share a memo key, so
+// each is a router miss until it has been sent twice. A default spelled
+// out is the same read as the default omitted, so the placement
+// parameters cannot tell URLs apart; they rotate through every
+// spelled/omitted combination instead, so the parse still sees each.
 func missSweeps() []string {
 	var lists [][]string
 	var extend func(list []string, used map[string]bool)
 	extend = func(list []string, used map[string]bool) {
-		if used["6+6+6"] {
+		if used["6+6+6"] && !slices.Equal(list, []string{"2", "2-2", "6", "6-6", "6+6+6"}) {
 			lists = append(lists, append([]string(nil), list...))
 		}
 		for _, cfg := range []string{"2", "2-2", "6", "6-6", "6+6+6"} {
@@ -612,15 +618,19 @@ func missSweeps() []string {
 		}
 	}
 	extend(nil, map[string]bool{})
-	spelled := []struct{ key, value string }{
-		{"ensemble", "hurricane"}, {"primary", "honolulu-cc"}, {"second", "waiau-plant"}, {"data_center", "drfortress-dc"},
+	placement := []struct{ key, value string }{
+		{"primary", "honolulu-cc"}, {"second", "waiau-plant"}, {"data_center", "drfortress-dc"},
 	}
 	var urls []string
 	for _, list := range lists {
 		for _, scenario := range []string{"hurricane", "intrusion", "isolation", "both"} {
-			for mask := 0; mask < 1<<len(spelled); mask++ {
+			for _, ensemble := range []string{"", "hurricane"} {
 				q := url.Values{"config": list, "scenario": {scenario}}
-				for i, p := range spelled {
+				if ensemble != "" {
+					q.Set("ensemble", ensemble)
+				}
+				mask := len(urls) / 2 % (1 << len(placement))
+				for i, p := range placement {
 					if mask&(1<<i) != 0 {
 						q.Set(p.key, p.value)
 					}
@@ -651,7 +661,7 @@ func forgetSightings(m *memo) {
 // sweep the router's memo cannot answer, forwarded to the owning worker
 // and evaluated there over a warm compiled view. Every iteration sends
 // a sweep the memo has not sighted, all over the one view the cluster
-// warm-up compiles: the 16,704 URLs are sent in turn, and before each
+// warm-up compiles: the 2,080 URLs are sent in turn, and before each
 // pass over them the memo forgets its sightings, so none is ever
 // stored. Allocations are the router process's (plus the httptest
 // request and recorder), not the worker's.

@@ -1,13 +1,13 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,8 +32,9 @@ type Options struct {
 	// hedge for the request (0 = 15s).
 	Timeout time.Duration
 	// Hedge launches a second backend attempt if the first has not
-	// answered within this delay (0 = hedging off). Only batchable
-	// reads hedge; submissions never race two workers.
+	// answered within this delay (0 = hedging off). Only the reads the
+	// memo serves (sweeps, figures, placement rankings) hedge;
+	// submissions never race two workers.
 	Hedge time.Duration
 	// HealthInterval is the backend probe period (0 = 2s).
 	HealthInterval time.Duration
@@ -296,23 +297,24 @@ func (rt *Router) writeResponse(w http.ResponseWriter, res *response) error {
 	return err
 }
 
-// resolve renders a query shape as a ring key and, when the named
-// ensemble lives on only part of the healthy pool (an uploaded
-// scenario, learned from worker healthz), the owning backends. Names
-// resolve to content fingerprints from backend health responses, so
-// renaming an ensemble (or omitting the name where workers advertise a
-// default) cannot split one view across workers; an unresolvable name
-// routes by name (fp is then "") and lets the owning worker return the
-// authoritative 404. A nil owners slice means every healthy worker can
-// answer (startup-loaded ensembles) and plain ring routing applies.
-func (rt *Router) resolve(shape serve.QueryShape) (fp, key string, owners []*backend) {
+// resolve renders a parsed read's ensemble name and shard identity as
+// a ring key and, when the named ensemble lives on only part of the
+// healthy pool (an uploaded scenario, learned from worker healthz), the
+// owning backends. Names resolve to content fingerprints from backend
+// health responses, so renaming an ensemble (or omitting the name where
+// workers advertise a default) cannot split one view across workers; an
+// unresolvable name routes by name (fp is then "") and lets the owning
+// worker return the authoritative 404. A nil owners slice means every
+// healthy worker can answer (startup-loaded ensembles) and plain ring
+// routing applies.
+func (rt *Router) resolve(ensemble, identity string) (fp, key string, owners []*backend) {
 	healthy := 0
 	for _, b := range rt.backends {
 		if !b.healthy.Load() {
 			continue
 		}
 		healthy++
-		f, ok := b.fingerprint(shape.Ensemble)
+		f, ok := b.fingerprint(ensemble)
 		if !ok {
 			continue
 		}
@@ -324,9 +326,9 @@ func (rt *Router) resolve(shape serve.QueryShape) (fp, key string, owners []*bac
 		}
 	}
 	if fp == "" {
-		return "", "name\x1f" + shape.Ensemble + "\x1f" + shape.Identity, nil
+		return "", "name\x1f" + ensemble + "\x1f" + identity, nil
 	}
-	key = fp + "\x1f" + shape.Identity
+	key = fp + "\x1f" + identity
 	if len(owners) == healthy {
 		return fp, key, nil
 	}
@@ -485,21 +487,14 @@ func (rt *Router) forwardSpanned(ctx context.Context, b *backend, c call) (*resp
 	return res, err
 }
 
-// serveSharded is the common read path: derive the shard key, answer
-// repeats from the memo, share identical in-flight misses, fetch with
-// failover, replay the winner. q is the query the shape was derived
-// from.
-func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape serve.QueryShape, q url.Values, body []byte) error {
+// serveSharded is the common read path for a parsed read: derive the
+// shard key from its ensemble name and identity, answer repeats of its
+// response key from the memo, share identical in-flight misses, fetch
+// with failover, replay the winner.
+func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, ensemble, identity, respKey string, body []byte) error {
 	ctx := r.Context()
-	fp, key, owners := rt.resolve(shape)
+	fp, key, owners := rt.resolve(ensemble, identity)
 	c := newCall(r, body)
-	if !shape.Batchable {
-		res, err := rt.fetch(ctx, rt.candidatesFor(key, owners), c, false)
-		if err != nil {
-			return err
-		}
-		return rt.writeResponse(w, res)
-	}
 	// An answer is stored only when the backend that produced it
 	// advertises the fingerprint the key names: a failover onto a worker
 	// holding other content under the name is served, not remembered.
@@ -507,13 +502,13 @@ func (rt *Router) serveSharded(w http.ResponseWriter, r *http.Request, shape ser
 	var admit func(*response) bool
 	if fp != "" {
 		admit = func(res *response) bool {
-			got, ok := rt.backends[res.backend].fingerprint(shape.Ensemble)
+			got, ok := rt.backends[res.backend].fingerprint(ensemble)
 			return ok && got == fp
 		}
 	}
 	sp := obs.SpanFromContext(ctx).StartChild("memo")
 	mctx := obs.ContextWithSpan(ctx, sp)
-	res, err := rt.memo.do(mctx, key+"\x1e"+serve.ResponseKey(r.Method, r.URL.Path, q, body), func() (*response, error) {
+	res, err := rt.memo.do(mctx, key+"\x1e"+respKey, func() (*response, error) {
 		return rt.fetch(mctx, rt.candidatesFor(key, owners), c, true)
 	}, admit)
 	sp.End()
@@ -538,13 +533,12 @@ func (rt *Router) readBody(r *http.Request) ([]byte, error) {
 
 func (rt *Router) handleSweepGet(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	q := r.URL.Query()
-	shape, err := serve.SweepShape(q, nil)
+	q, err := serve.ParseSweepQuery(r.URL.Query())
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, q, nil)
+	return rt.serveSharded(w, r, q.Ensemble, q.Identity(), q.Key(r.Method), nil)
 }
 
 func (rt *Router) handleSweepPost(w http.ResponseWriter, r *http.Request) error {
@@ -553,50 +547,51 @@ func (rt *Router) handleSweepPost(w http.ResponseWriter, r *http.Request) error 
 		return err
 	}
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	shape, err := serve.SweepShape(nil, body)
+	q, err := serve.ParseSweepBody(bytes.NewReader(body))
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, r.URL.Query(), body)
+	return rt.serveSharded(w, r, q.Ensemble, q.Identity(), q.Key(r.Method), body)
 }
 
 func (rt *Router) handleFigure(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	q := r.URL.Query()
-	shape, err := serve.FigureShape(r.PathValue("id"), q)
+	q, err := serve.ParseFigure(r.PathValue("id"), r.URL.Query())
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, q, nil)
+	return rt.serveSharded(w, r, q.Ensemble, q.Identity(), q.Key(r.Method), nil)
 }
 
 func (rt *Router) handlePlacement(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	q := r.URL.Query()
-	shape, err := serve.PlacementShape(q)
+	q, err := serve.ParsePlacement(r.URL.Query())
 	sp.End()
 	if err != nil {
 		return err
 	}
-	return rt.serveSharded(w, r, shape, q, nil)
+	return rt.serveSharded(w, r, q.Ensemble, q.Identity(), q.Key(r.Method), nil)
 }
 
 // handlePlacementSearch forwards a submission to the shard owning its
 // candidate universe and learns the resulting job's route.
+// Submissions are idempotent by content key on the worker, but the 202
+// carries submission-specific state (coalesced), so each is forwarded
+// on its own, never memoized or hedged.
 func (rt *Router) handlePlacementSearch(w http.ResponseWriter, r *http.Request) error {
 	body, err := rt.readBody(r)
 	if err != nil {
 		return err
 	}
 	sp := obs.SpanFromContext(r.Context()).StartChild("validate")
-	shape, err := serve.PlacementSearchShape(body)
+	q, err := serve.ParsePlacementSearch(bytes.NewReader(body))
 	sp.End()
 	if err != nil {
 		return err
 	}
-	_, key, owners := rt.resolve(shape)
+	_, key, owners := rt.resolve(q.Ensemble, q.Identity())
 	return rt.forwardSubmission(w, r, rt.candidatesFor(key, owners), body)
 }
 
@@ -816,7 +811,7 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) error {
 // With fleet=1 it scrapes every healthy backend and merges the whole
 // tier into one exposition (see federate.go).
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) error {
-	if err := checkQueryParams(r, "fleet"); err != nil {
+	if err := serve.CheckParams(r.URL.Query(), "fleet"); err != nil {
 		return err
 	}
 	if boolParam(r.URL.Query().Get("fleet")) {

@@ -23,8 +23,10 @@ type fakeWorker struct {
 	idx    int
 	srv    *httptest.Server
 	sweeps atomic.Int64
-	fail   atomic.Bool
-	reject atomic.Int64 // non-zero: sweeps answer this status
+	// queries counts every request but health and readiness probes.
+	queries atomic.Int64
+	fail    atomic.Bool
+	reject  atomic.Int64 // non-zero: sweeps answer this status
 	// healthDelay stalls every health probe answer, as a worker busy
 	// generating an ensemble does.
 	healthDelay atomic.Int64
@@ -149,7 +151,12 @@ func newFakeWorker(t *testing.T, idx int) *fakeWorker {
 		}
 		fmt.Fprintf(w, `{"job_id":%q,"status":"done","worker":%d}`, id, f.idx)
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/healthz" && r.URL.Path != "/v1/readyz" {
+			f.queries.Add(1)
+		}
+		mux.ServeHTTP(w, r)
+	}))
 	t.Cleanup(f.srv.Close)
 	return f
 }
@@ -213,21 +220,23 @@ func do(t *testing.T, rt *Router, method, url string, body string) *httptest.Res
 	return w
 }
 
-// viewSweeps are distinct sweeps over one compiled view: the scenario
-// and the spelling of defaults change the request's identity but not
-// the view, so all of them share one shard key while none repeats another
-// (a repeat would be answered from the router's memo).
+// viewSweeps are distinct sweeps over one compiled view: the scenario,
+// the ensemble name and the config list change the answer but not the
+// view, so all of them share one shard key while no two share a
+// response key (a repeat would be answered from the router's memo).
+// None repeats a bare "/v1/sweep" either: a default spelled out, as in
+// the last entry's primary, is the same read as the default omitted.
 var viewSweeps = []string{
-	"/v1/sweep?scenario=hurricane",
 	"/v1/sweep?scenario=intrusion",
 	"/v1/sweep?scenario=isolation",
 	"/v1/sweep?scenario=both",
 	"/v1/sweep?ensemble=hurricane",
-	"/v1/sweep?ensemble=hurricane&scenario=hurricane",
 	"/v1/sweep?ensemble=hurricane&scenario=intrusion",
 	"/v1/sweep?ensemble=hurricane&scenario=isolation",
 	"/v1/sweep?ensemble=hurricane&scenario=both",
-	"/v1/sweep?primary=honolulu-cc", // the default placement, spelled out
+	"/v1/sweep?config=6%2B6%2B6",
+	"/v1/sweep?config=6%2B6%2B6&config=2",
+	"/v1/sweep?config=2&config=6%2B6%2B6&primary=honolulu-cc",
 }
 
 // TestRouterStableSharding checks every sweep over one view lands on
@@ -283,29 +292,32 @@ func TestRouterSlowProbeStaysHealthy(t *testing.T) {
 	}
 }
 
-// TestRouterRejectsLocally checks shape validation fails malformed
-// requests at the router with the worker's envelope, without spending
-// a backend round trip.
+// TestRouterRejectsLocally checks the shared read parse fails
+// malformed requests at the router with the worker's envelope, without
+// spending a backend round trip: a bad value, and a parameter the
+// endpoint does not take.
 func TestRouterRejectsLocally(t *testing.T) {
 	a := newFakeWorker(t, 0)
 	rt := newTestRouter(t, Options{}, a)
-	w := do(t, rt, http.MethodGet, "/v1/sweep?scenario=bogus", "")
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", w.Code, w.Body.String())
+	for _, url := range []string{"/v1/sweep?scenario=bogus", "/v1/sweep?scenario=both&bogus=1", "/v1/figure/9?bogus=1"} {
+		w := do(t, rt, http.MethodGet, url, "")
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("GET %s: status %d, want 400: %s", url, w.Code, w.Body.String())
+		}
+		var body struct {
+			Error struct {
+				Code string `json:"code"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		if body.Error.Code != "bad_request" {
+			t.Fatalf("GET %s: error code %q, want bad_request", url, body.Error.Code)
+		}
 	}
-	var body struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Error.Code != "bad_request" {
-		t.Fatalf("error code %q, want bad_request", body.Error.Code)
-	}
-	if a.sweeps.Load() != 0 {
-		t.Fatalf("malformed sweep reached a worker %d times", a.sweeps.Load())
+	if n := a.queries.Load(); n != 0 {
+		t.Fatalf("malformed reads reached a worker %d times", n)
 	}
 }
 

@@ -24,28 +24,13 @@ import (
 	"sync"
 
 	"compoundthreat/internal/obs"
+	"compoundthreat/internal/serve"
 )
 
 // stitchDefaultLimit bounds how many traces a stitched listing renders
 // when the caller does not pass limit — each stitched trace costs one
 // backend fetch per worker it touched, so the default is small.
 const stitchDefaultLimit = 8
-
-// checkQueryParams rejects query parameters outside the allowed set
-// with the same bad_request envelope the workers use for typos.
-func checkQueryParams(r *http.Request, allowed ...string) error {
-	ok := make(map[string]bool, len(allowed))
-	for _, a := range allowed {
-		ok[a] = true
-	}
-	for k := range r.URL.Query() {
-		if !ok[k] {
-			return &routerError{status: http.StatusBadRequest, code: "bad_request",
-				message: fmt.Sprintf("unknown parameter %q (allowed: %v)", k, allowed)}
-		}
-	}
-	return nil
-}
 
 // boolParam reads a 0/1 (or false/true) query parameter.
 func boolParam(v string) bool { return v == "1" || v == "true" }
@@ -55,7 +40,7 @@ func boolParam(v string) bool { return v == "1" || v == "true" }
 // trace additionally has its worker spans spliced in, and the listing
 // limit defaults to stitchDefaultLimit to bound backend fetches.
 func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) error {
-	if err := checkQueryParams(r, "limit", "stitch"); err != nil {
+	if err := serve.CheckParams(r.URL.Query(), "limit", "stitch"); err != nil {
 		return err
 	}
 	q := r.URL.Query()
@@ -109,7 +94,7 @@ func (rt *Router) handleTraces(w http.ResponseWriter, r *http.Request) error {
 // its worker halves by default (stitch=0 opts out, returning only the
 // router-side tree).
 func (rt *Router) handleTraceGet(w http.ResponseWriter, r *http.Request) error {
-	if err := checkQueryParams(r, "stitch"); err != nil {
+	if err := serve.CheckParams(r.URL.Query(), "stitch"); err != nil {
 		return err
 	}
 	if rt.tracer == nil {
