@@ -43,15 +43,15 @@ BENCH = $(GO) test -run '^$$' -benchmem -cpu 2
 BENCH_ROOT = -bench '^Benchmark(Figure|Compressed)' -benchtime 20x .
 
 # The analysis server over a 1000-realization synthetic ensemble: the
-# HTTP serving path (handler stack, compiled-view cache, evaluator
-# pool), the observability cost (tracing on vs off, a router-injected
+# HTTP serving path (handler stack, compiled-view cache, attack
+# tables), the observability cost (tracing on vs off, a router-injected
 # traceparent, the Prometheus exposition render), and the write path
 # end to end (upload → generate → sweep).
 BENCH_SERVE = -bench '^Benchmark(Serve|Traced|TracingOff|MetricsRender|Obs|UploadToSweep)' -benchtime 100x ./internal/serve/
 
-# The word-parallel pair kernel vs the evaluator path over the real
-# Oahu ensemble, plus the k-site greedy (1024-candidate synthetic
-# universe) and branch-and-bound searches.
+# The attack-table kernel on the pair search over the real Oahu
+# ensemble, plus the k-site greedy (1024-candidate synthetic universe)
+# and branch-and-bound searches.
 BENCH_PLACEMENT = -bench '^Benchmark(Pairs|KSite)' -benchtime 20x ./internal/placement/
 
 # The consistent-hash router over two real re-executed worker

@@ -51,9 +51,10 @@ func BenchmarkCompressedAllFigures(b *testing.B) {
 	}
 }
 
-// BenchmarkCompressedSearchPairs runs the §VII pair search: the candidate-universe matrix is
-// deduplicated once and every one of the O(C²) pairs evaluates only
-// distinct patterns with pooled evaluator scratch.
+// BenchmarkCompressedSearchPairs runs the §VII pair search: the
+// candidate-universe matrix is deduplicated once and every one of the
+// O(C²) pairs classifies only distinct patterns, through the one
+// attack table their shared configuration shape has.
 func BenchmarkCompressedSearchPairs(b *testing.B) {
 	cs := benchCaseStudy(b)
 	req := PlacementRequest{

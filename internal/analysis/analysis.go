@@ -90,9 +90,10 @@ func validateCell(e DisasterEnsemble, cfg topology.Config, scenario threat.Scena
 }
 
 // Run analyzes one configuration under one scenario across the whole
-// ensemble on the engine path, parallelizing distinct-pattern chunks
-// across runtime.GOMAXPROCS(0) workers. Results are bit-identical to
-// walking every realization with the worst-case attacker.
+// ensemble on the engine path: one compile, one row deduplication
+// (hashed across runtime.GOMAXPROCS(0) workers), and one table-kernel
+// pass over the distinct rows. Results are bit-identical to walking
+// every realization with the worst-case attacker.
 func Run(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario) (Outcome, error) {
 	return RunOpt(e, cfg, scenario, Options{})
 }
@@ -106,17 +107,15 @@ func RunOpt(e DisasterEnsemble, cfg topology.Config, scenario threat.Scenario, o
 	if err != nil {
 		return Outcome{}, fmt.Errorf("analysis: %s: %w", cfg.Name, err)
 	}
-	return runCell(v, cfg, scenario, opt.Workers)
+	return runCell(v, cfg, scenario)
 }
 
-// compiledView bundles a compiled failure matrix with its deduplicated
-// row view; cells evaluate against the compressed view, recycling
-// evaluators (and their 2^S memo tables) across the sweep's cells
-// through the pool.
+// compiledView bundles a compiled failure matrix's deduplicated row
+// view with the attack tables its cells share: every configuration of
+// one shape, under one capability, evaluates through one table.
 type compiledView struct {
-	m    *engine.FailureMatrix
-	cm   *engine.CompressedMatrix
-	pool *engine.EvaluatorPool
+	cm     *engine.CompressedMatrix
+	tables *engine.Tables
 }
 
 // compileView compiles the ensemble's failure flags for the given
@@ -127,37 +126,19 @@ func compileView(e DisasterEnsemble, assetIDs []string, opt Options) (compiledVi
 	if err != nil {
 		return compiledView{}, err
 	}
-	return compiledView{m: m, cm: engine.Compress(m, opt.Workers), pool: &engine.EvaluatorPool{}}, nil
+	return compiledView{cm: engine.Compress(m, opt.Workers), tables: engine.NewTables()}, nil
 }
 
 // runCell evaluates one (config, scenario) cell against a compiled
-// view.
-func runCell(v compiledView, cfg topology.Config, scenario threat.Scenario, workers int) (Outcome, error) {
+// view: one pass of the table kernel over the distinct rows. cfg has
+// been validated by the entry point.
+func runCell(v compiledView, cfg topology.Config, scenario threat.Scenario) (Outcome, error) {
 	obs.Default().Counter("analysis.cells").Add(1)
-	var (
-		profile *stats.Profile
-		err     error
-	)
-	if engine.Workers(workers) <= 1 {
-		// Single-worker cell: one weighted pass over the distinct rows
-		// with a pooled evaluator, so sweeps spanning many cells reuse
-		// memo tables instead of re-allocating per cell.
-		var ev *engine.Evaluator
-		ev, err = v.pool.Get(v.m, cfg, scenario.Capability())
-		if err == nil {
-			var counts engine.Counts
-			if err = ev.AddWeighted(&counts, v.cm, 0, v.cm.DistinctRows()); err == nil {
-				profile = counts.Profile()
-			}
-			v.pool.Put(ev)
-		}
-	} else {
-		profile, err = engine.CellProfileCompressed(v.cm, cfg, scenario.Capability(), workers)
-	}
+	counts, err := v.tables.Counts(v.cm, cfg, scenario.Capability())
 	if err != nil {
 		return Outcome{}, fmt.Errorf("analysis: %s: %w", cfg.Name, err)
 	}
-	return Outcome{Config: cfg, Scenario: scenario, Profile: profile}, nil
+	return Outcome{Config: cfg, Scenario: scenario, Profile: counts.Profile()}, nil
 }
 
 // assetUniverse validates every configuration and returns the union
@@ -233,7 +214,7 @@ func RunConfigsCtx(ctx context.Context, e DisasterEnsemble, configs []topology.C
 	defer obs.Default().StartSpan("analysis.run_configs_ns").End()
 	out := make([]Outcome, len(configs))
 	err = engine.ForEachCtx(ctx, opt.Workers, len(configs), func(i int) error {
-		o, err := runCell(v, configs[i], scenario, 1)
+		o, err := runCell(v, configs[i], scenario)
 		if err != nil {
 			return err
 		}
@@ -280,7 +261,7 @@ func RunMatrixCtx(ctx context.Context, e DisasterEnsemble, configs []topology.Co
 	cells := make([]Outcome, len(scenarios)*len(configs))
 	err = engine.ForEachCtx(ctx, opt.Workers, len(cells), func(k int) error {
 		si, ci := k/len(configs), k%len(configs)
-		o, err := runCell(v, configs[ci], scenarios[si], 1)
+		o, err := runCell(v, configs[ci], scenarios[si])
 		if err != nil {
 			return err
 		}

@@ -180,7 +180,7 @@ func (cs *CaseStudy) EvaluateAllFigures() ([]FigureResult, error) {
 
 	err = engine.ForEach(cs.workers, len(cells), func(i int) error {
 		c := cells[i]
-		o, err := runCell(v, c.cfg, figs[c.fig].Scenario, 1)
+		o, err := runCell(v, c.cfg, figs[c.fig].Scenario)
 		if err != nil {
 			return fmt.Errorf("figure %d: %w", figs[c.fig].ID, err)
 		}

@@ -1,7 +1,7 @@
 package engine_test
 
-// Allocation benchmarks for the engine hot path: the weighted row loop
-// of AddWeighted must not allocate (run with -benchmem to verify
+// Allocation benchmarks for the engine hot path: the table kernel's
+// weighted row loop (Cell.Add) must not allocate (run with -benchmem to verify
 // 0 allocs/op).
 
 import (
@@ -34,33 +34,30 @@ func BenchmarkCompress(b *testing.B) {
 	}
 }
 
-// BenchmarkAddWeighted measures the weighted inner loop over the
-// distinct rows of the compressed 1000-realization matrix. The warmed
-// steady state is bit-extraction plus a table lookup — 0 allocs/op —
-// over ~8 distinct patterns instead of 1000 realizations.
+// BenchmarkAddWeighted measures the table kernel's weighted inner loop
+// over the distinct rows of the compressed 1000-realization matrix.
+// With the table built, each row is bit-extraction plus a table
+// lookup — 0 allocs/op — over ~8 distinct patterns instead of 1000
+// realizations.
 func BenchmarkAddWeighted(b *testing.B) {
 	m, cfg, cap := benchFixture(b)
 	cm := engine.Compress(m, 1)
-	ev, err := engine.NewEvaluator(m, cfg, cap)
+	cell, err := engine.NewTables().Cell(cm, cfg, cap)
 	if err != nil {
-		b.Fatal(err)
-	}
-	var warm engine.Counts
-	if err := ev.AddWeighted(&warm, cm, 0, cm.DistinctRows()); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counts engine.Counts
-		if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
+		if err := cell.Add(&counts, 0, cm.DistinctRows()); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkCellCountsCompressed measures a full cold compressed cell:
-// evaluator construction, memo fill, and the weighted walk.
+// a fresh table cache, the table build, and the weighted walk.
 func BenchmarkCellCountsCompressed(b *testing.B) {
 	m, cfg, cap := benchFixture(b)
 	cm := engine.Compress(m, 1)

@@ -103,20 +103,13 @@ func TestCodecRoundTrip(t *testing.T) {
 			assertSameView(t, back, cm)
 
 			cfg := topology.NewConfig666(tc.assets[0], tc.assets[1], tc.assets[2])
-			var pool engine.EvaluatorPool
-			var wantCounts, gotCounts engine.Counts
-			ev, err := pool.Get(m, cfg, threat.Hurricane.Capability())
+			tables := engine.NewTables()
+			wantCounts, err := tables.Counts(cm, cfg, threat.Hurricane.Capability())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ev.AddWeighted(&wantCounts, cm, 0, cm.DistinctRows()); err != nil {
-				t.Fatal(err)
-			}
-			bev, err := pool.Get(back.Source(), cfg, threat.Hurricane.Capability())
+			gotCounts, err := tables.Counts(back, cfg, threat.Hurricane.Capability())
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := bev.AddWeighted(&gotCounts, back, 0, back.DistinctRows()); err != nil {
 				t.Fatal(err)
 			}
 			if gotCounts != wantCounts {

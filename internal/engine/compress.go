@@ -5,16 +5,13 @@ package engine
 // Honolulu and Waiau flood together in every one of the 1000 ADCIRC
 // realizations — so a compiled FailureMatrix has far fewer *distinct*
 // rows than realizations. A CompressedMatrix groups identical rows
-// into (pattern, multiplicity) pairs once; a weighted evaluation pass
-// (Evaluator.AddWeighted, CellCountsCompressed) then touches each
-// distinct row exactly once per cell and adds its multiplicity to the
-// outcome histogram. Because operational-state counts are integers and
+// into (pattern, multiplicity) pairs once; the evaluation kernel
+// (Cell.Add) then touches each distinct row exactly once per cell and
+// adds its multiplicity to the outcome histogram. Because operational-state counts are integers and
 // the attacker is a pure function of the flooded pattern, the weighted
 // histogram is bit-identical to walking every realization.
 
 import (
-	"errors"
-
 	"compoundthreat/internal/hash64"
 	"compoundthreat/internal/obs"
 )
@@ -204,7 +201,3 @@ func (c *CompressedMatrix) Gather(dst []bool, i int, cols []int) []bool {
 	}
 	return dst
 }
-
-// errCompressedMismatch is returned when a compressed view is paired
-// with an evaluator built over a different matrix.
-var errCompressedMismatch = errors.New("engine: compressed matrix does not view the evaluator's failure matrix")

@@ -232,63 +232,32 @@ func TestCompressAllDistinct(t *testing.T) {
 	}
 }
 
-// TestAddWeightedRejectsForeignMatrix: pairing a compressed view with
-// an evaluator built over a different matrix is an error, not silent
-// garbage.
-func TestAddWeightedRejectsForeignMatrix(t *testing.T) {
-	assets := []string{"p", "s"}
-	e1 := randomEnsemble(t, 31, 50, assets)
-	e2 := randomEnsemble(t, 32, 50, assets)
-	m1, err := engine.NewFailureMatrix(e1, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := engine.NewFailureMatrix(e2, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := topology.NewConfig66("p", "s")
-	capability := threat.Hurricane.Capability()
-	ev, err := engine.NewEvaluator(m1, cfg, capability)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := engine.Compress(m2, 1)
-	var counts engine.Counts
-	if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err == nil {
-		t.Fatal("AddWeighted accepted a compression of a different matrix")
-	}
-}
-
-// TestEvaluatorPoolReuse: a pooled evaluator reset to a new cell must
-// produce the same counts as a fresh one, for a sequence of differing
-// (config, capability) cells.
-func TestEvaluatorPoolReuse(t *testing.T) {
+// TestTablesReuseAcrossCells: one table cache serving a sequence of
+// differing (config, capability) cells over two different views must
+// produce the same counts as a fresh cache per cell.
+func TestTablesReuseAcrossCells(t *testing.T) {
 	assets := []string{"p", "s", "d"}
-	e := randomEnsemble(t, 41, 200, assets)
-	m, err := engine.NewFailureMatrix(e, assets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cm := engine.Compress(m, 1)
-	var pool engine.EvaluatorPool
-	for _, cfg := range standardConfigs(t, "p", "s", "d") {
-		for _, sc := range threat.Scenarios() {
-			want, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev, err := pool.Get(m, cfg, sc.Capability())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got engine.Counts
-			if err := ev.AddWeighted(&got, cm, 0, cm.DistinctRows()); err != nil {
-				t.Fatal(err)
-			}
-			pool.Put(ev)
-			if got != want {
-				t.Errorf("%s/%v: pooled counts %v != fresh %v", cfg.Name, sc, got, want)
+	tables := engine.NewTables()
+	for _, seed := range []int64{41, 42} {
+		e := randomEnsemble(t, seed, 200, assets)
+		m, err := engine.NewFailureMatrix(e, assets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := engine.Compress(m, 1)
+		for _, cfg := range standardConfigs(t, "p", "s", "d") {
+			for _, sc := range threat.Scenarios() {
+				want, err := engine.CellCountsCompressed(cm, cfg, sc.Capability(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := tables.Counts(cm, cfg, sc.Capability())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("seed=%d %s/%v: shared-cache counts %v != fresh %v", seed, cfg.Name, sc, got, want)
+				}
 			}
 		}
 	}

@@ -9,12 +9,13 @@
 //     once: asset IDs are resolved to column indices up front and the
 //     per-realization failure flags are bit-packed into uint64 words,
 //     so the realization loop does no map lookups and no allocations.
-//   - An Evaluator walks the matrix for one (configuration, attacker
-//     capability) cell with a reusable attack.Analyzer, memoizing the
-//     worst-case outcome per flooded-site pattern (a configuration
-//     with S sites has at most 2^S patterns, so a 1000-realization
-//     sweep collapses to a handful of attack evaluations plus pure
-//     bit-twiddling).
+//   - A Tables cache holds one attack table per (configuration shape,
+//     attacker capability): the worst-case outcome of every flooded-site
+//     mask, built eagerly once (a configuration with S sites has 2^S
+//     masks) and shared by every placement of that shape. A Cell binds
+//     one configuration's site columns to a table, so a 1000-realization
+//     sweep collapses to a handful of table builds plus pure
+//     bit-twiddling per distinct row.
 //   - ForEach is the bounded worker pool used for realization chunks,
 //     (configuration, scenario) cells, placement candidates, and
 //     power-sweep points.

@@ -1,7 +1,7 @@
 package engine_test
 
 // Tests for the engine's observability hooks: when a recorder is
-// enabled the memo, matrix, and worker-pool metrics must add up
+// enabled the table-cache, matrix, and worker-pool metrics must add up
 // exactly; when it is disabled the hot path must stay allocation-free
 // (the contract the 0-allocs benchmarks measure).
 
@@ -40,46 +40,40 @@ func distinctView(t *testing.T) (*engine.FailureMatrix, *engine.CompressedMatrix
 	return m, engine.Compress(m, 1), topology.NewConfig666(ids[0], ids[5], ids[11])
 }
 
-// TestEvaluatorMemoMetrics checks the memo accounting: hits + misses
-// equals the distinct rows walked, misses equals the number of distinct
-// flooded-site patterns (each filled exactly once), and the realization
-// counter adds up the row weights.
+// TestEvaluatorMemoMetrics checks the table-cache accounting: a cell
+// whose shape has a table is a memo hit, a table built is a memo miss,
+// the analyzer runs 2^S times per table built and never per cell, and
+// the realization counter adds up the row weights of every cell.
 func TestEvaluatorMemoMetrics(t *testing.T) {
 	m, cm, cfg := distinctView(t)
+	ids := m.Assets()
 	rec := withRecorder(t)
+	tables := engine.NewTables()
 	cap := threat.HurricaneIntrusionIsolation.Capability()
-	ev, err := engine.NewEvaluator(m, cfg, cap)
-	if err != nil {
-		t.Fatal(err)
+	cells := []struct {
+		cfg        topology.Config
+		capability threat.Capability
+	}{
+		{cfg, cap},
+		{topology.NewConfig666(ids[1], ids[7], ids[3]), cap}, // same shape: a hit
+		{cfg, threat.Hurricane.Capability()},                 // new capability: a miss
+		{cfg, cap},                                           // a hit
 	}
-	var counts engine.Counts
-	if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
-		t.Fatal(err)
+	for _, c := range cells {
+		if _, err := tables.Counts(cm, c.cfg, c.capability); err != nil {
+			t.Fatal(err)
+		}
 	}
-
-	cols, err := m.Columns([]string{cfg.Sites[0].AssetID, cfg.Sites[1].AssetID, cfg.Sites[2].AssetID})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinct := map[uint64]bool{}
-	for i := 0; i < cm.DistinctRows(); i++ {
-		distinct[cm.Pattern(i, cols)] = true
-	}
-
 	hits := rec.Counter("engine.memo_hits").Value()
 	misses := rec.Counter("engine.memo_misses").Value()
-	if misses != int64(len(distinct)) {
-		t.Errorf("memo misses = %d, want %d distinct patterns", misses, len(distinct))
+	if hits != 2 || misses != 2 {
+		t.Errorf("memo hits %d, misses %d; want 2 cells answered from a table and 2 tables built", hits, misses)
 	}
-	if hits+misses != int64(cm.DistinctRows()) {
-		t.Errorf("hits %d + misses %d != %d distinct rows", hits, misses, cm.DistinctRows())
+	if got := rec.Counter("engine.realizations").Value(); got != int64(len(cells)*m.Rows()) {
+		t.Errorf("realizations counter = %d, want %d", got, len(cells)*m.Rows())
 	}
-	if got := rec.Counter("engine.realizations").Value(); got != int64(m.Rows()) {
-		t.Errorf("realizations counter = %d, want %d", got, m.Rows())
-	}
-	// The analyzer runs exactly once per memo miss on this path.
-	if evals := rec.Counter("attack.analyzer_evals").Value(); evals != misses {
-		t.Errorf("analyzer evals = %d, want %d (one per miss)", evals, misses)
+	if evals, want := rec.Counter("attack.analyzer_evals").Value(), misses<<uint(len(cfg.Sites)); evals != want {
+		t.Errorf("analyzer evals = %d, want %d (2^%d per table built)", evals, want, len(cfg.Sites))
 	}
 }
 
@@ -161,45 +155,42 @@ func TestInstrumentedResultsUnchanged(t *testing.T) {
 	}
 }
 
-// weightedAllocs warms an evaluator over the all-distinct view, then
-// returns the allocations per weighted pass over all 1000 rows.
-func weightedAllocs(t *testing.T, m *engine.FailureMatrix, cm *engine.CompressedMatrix, cfg topology.Config) float64 {
+// weightedAllocs binds the table kernel over the all-distinct view,
+// then returns the allocations per weighted pass over all 1000 rows.
+func weightedAllocs(t *testing.T, cm *engine.CompressedMatrix, cfg topology.Config) float64 {
 	t.Helper()
 	if racetest.Enabled {
 		t.Skip("allocation counts are not exact under the race detector")
 	}
-	ev, err := engine.NewEvaluator(m, cfg, threat.HurricaneIntrusionIsolation.Capability())
+	cell, err := engine.NewTables().Cell(cm, cfg, threat.HurricaneIntrusionIsolation.Capability())
 	if err != nil {
-		t.Fatal(err)
-	}
-	var warm engine.Counts
-	if err := ev.AddWeighted(&warm, cm, 0, cm.DistinctRows()); err != nil {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(20, func() {
 		var counts engine.Counts
-		if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
+		if err := cell.Add(&counts, 0, cm.DistinctRows()); err != nil {
 			t.Fatal(err)
 		}
 	})
 }
 
 // TestAddRangeNoAllocsDisabled pins the hard requirement: with
-// observability off, the evaluator's weighted row loop performs zero
+// observability off, the table kernel's weighted row loop performs zero
 // allocations, even over 1000 weight-1 rows.
 func TestAddRangeNoAllocsDisabled(t *testing.T) {
-	m, cm, cfg := distinctView(t)
-	if allocs := weightedAllocs(t, m, cm, cfg); allocs != 0 {
-		t.Fatalf("AddWeighted allocated %v times per run with observability disabled", allocs)
+	_, cm, cfg := distinctView(t)
+	if allocs := weightedAllocs(t, cm, cfg); allocs != 0 {
+		t.Fatalf("Cell.Add allocated %v times per run with observability disabled", allocs)
 	}
 }
 
 // TestAddRangeNoAllocsEnabled: the same loop stays allocation-free
-// with a live recorder — metrics are atomics resolved at construction.
+// with a live recorder — metrics are atomics resolved when the table
+// cache is made.
 func TestAddRangeNoAllocsEnabled(t *testing.T) {
-	m, cm, cfg := distinctView(t)
+	_, cm, cfg := distinctView(t)
 	withRecorder(t)
-	if allocs := weightedAllocs(t, m, cm, cfg); allocs != 0 {
-		t.Fatalf("AddWeighted allocated %v times per run with observability enabled", allocs)
+	if allocs := weightedAllocs(t, cm, cfg); allocs != 0 {
+		t.Fatalf("Cell.Add allocated %v times per run with observability enabled", allocs)
 	}
 }

@@ -1,9 +1,8 @@
 package placement
 
 // Placement-search benchmarks, first recorded in BENCH_6.json: the
-// word-parallel kernel against the memoized evaluator on the paper's
-// Oahu pair search (matrix precompiled, so the numbers isolate per-placement
-// evaluation — the part the kernel changes), and k-site search at
+// table kernel on the paper's Oahu pair search (matrix precompiled, so
+// the numbers isolate per-placement evaluation), and k-site search at
 // production scale on synthetic universes.
 //
 // Run them with `make bench-placement`; refresh the gate's baseline
@@ -49,9 +48,9 @@ func benchOahu(b *testing.B) (*hazard.Ensemble, *assets.Inventory) {
 }
 
 // benchPairSetup compiles the Oahu pair-search workload once: the 12
-// candidate-pair configurations, the candidate-universe matrix, and
-// its compressed form.
-func benchPairSetup(b *testing.B) ([]topology.Config, *engine.FailureMatrix, *engine.CompressedMatrix) {
+// candidate-pair configurations and the compressed candidate-universe
+// matrix.
+func benchPairSetup(b *testing.B) ([]topology.Config, *engine.CompressedMatrix) {
 	b.Helper()
 	e, inv := benchOahu(b)
 	req := Request{Ensemble: e, Inventory: inv, Primary: assets.HonoluluCC, Scenario: threat.HurricaneIntrusionIsolation}
@@ -73,49 +72,26 @@ func benchPairSetup(b *testing.B) ([]topology.Config, *engine.FailureMatrix, *en
 	if err != nil {
 		b.Fatal(err)
 	}
-	return configs, m, engine.Compress(m, 0)
+	return configs, engine.Compress(m, 0)
 }
 
 // BenchmarkPairsKernel evaluates all 12 Oahu candidate pairs per
-// iteration with the word-parallel mask kernel.
+// iteration with the table kernel, the shape's one table already
+// built: per placement, a table lookup, the column binding and one
+// pass over the distinct rows.
 func BenchmarkPairsKernel(b *testing.B) {
-	configs, _, cm := benchPairSetup(b)
+	configs, cm := benchPairSetup(b)
 	capability := threat.HurricaneIntrusionIsolation.Capability()
-	tbl := kernelTable(configs, capability, true)
-	if tbl == nil {
-		b.Fatal("kernel path not eligible for the standard pair search")
+	tables := engine.NewTables()
+	if _, err := tables.Counts(cm, configs[0], capability); err != nil {
+		b.Fatal(err)
 	}
-	kernel := engine.NewMaskKernel()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range configs {
-			var counts engine.Counts
-			if err := kernel.BindConfig(cm, tbl, cfg); err != nil {
+			if _, err := tables.Counts(cm, cfg, capability); err != nil {
 				b.Fatal(err)
 			}
-			kernel.AddWeighted(&counts, 0, cm.DistinctRows())
-		}
-	}
-}
-
-// BenchmarkPairsEvaluator is the same workload on the memoized
-// per-pattern evaluator — the pre-kernel fast path.
-func BenchmarkPairsEvaluator(b *testing.B) {
-	configs, m, cm := benchPairSetup(b)
-	capability := threat.HurricaneIntrusionIsolation.Capability()
-	var pool engine.EvaluatorPool
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range configs {
-			var counts engine.Counts
-			ev, err := pool.Get(m, cfg, capability)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ev.AddWeighted(&counts, cm, 0, cm.DistinctRows()); err != nil {
-				b.Fatal(err)
-			}
-			pool.Put(ev)
 		}
 	}
 }

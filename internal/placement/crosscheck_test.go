@@ -93,34 +93,38 @@ func TestSearchPairsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestSearchPairsKernelMatchesEvaluator pins the kernel fast path:
-// for the default symmetric "6+6+6" family, the word-parallel mask
-// kernel (default), the memoized evaluator (NoKernel), and the plain
-// sequential walk all produce byte-identical rankings, scores, and
-// profiles — the kernel is an optimization, never a semantic change.
+// TestSearchPairsKernelMatchesEvaluator pins the table kernel that
+// scores every candidate of a pair search against the greedy attacker
+// the sequential walk asks afresh for every realization: for the
+// default symmetric "6+6+6" family and for a "6-6" primary-backup
+// family, both under the availability-weighted objective, the two give
+// identical rankings, scores, and profiles — the kernel is an
+// optimization, never a semantic change.
 func TestSearchPairsKernelMatchesEvaluator(t *testing.T) {
 	e, inv := fixture(t)
-	for _, scenario := range threat.Scenarios() {
-		base := Request{
-			Ensemble:  e,
-			Inventory: inv,
-			Primary:   "p",
-			Scenario:  scenario,
+	families := map[string]func(topology.Placement) topology.Config{
+		"6+6+6": nil,
+		"6-6": func(p topology.Placement) topology.Config {
+			return topology.NewConfig66(p.Primary, p.Second)
+		},
+	}
+	for name, build := range families {
+		for _, scenario := range threat.Scenarios() {
+			req := Request{
+				Ensemble:  e,
+				Inventory: inv,
+				Primary:   "p",
+				Scenario:  scenario,
+				Objective: AvailabilityWeighted,
+				Build:     build,
+			}
+			want := sequentialPairs(t, req)
+			got, err := SearchPairs(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCandidates(t, name+"/"+scenario.String()+"/kernel-vs-sequential", got, want)
 		}
-		want := sequentialPairs(t, base)
-		kernel, err := SearchPairs(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		noKernel := base
-		noKernel.NoKernel = true
-		evaluator, err := SearchPairs(noKernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCandidates(t, scenario.String()+"/kernel-vs-sequential", kernel, want)
-		sameCandidates(t, scenario.String()+"/evaluator-vs-sequential", evaluator, want)
-		sameCandidates(t, scenario.String()+"/kernel-vs-evaluator", kernel, evaluator)
 	}
 }
 

@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"compoundthreat/internal/analysis"
@@ -279,6 +280,45 @@ func TestValidation(t *testing.T) {
 	}
 	if _, err := SearchSecondSite(base, "zzz"); err == nil {
 		t.Error("unknown data center should fail")
+	}
+}
+
+// TestSearchValidatesEveryConfig: a Build that returns an invalid
+// configuration for any placement, not just the first, fails the
+// search instead of being ranked through the first placement's table.
+func TestSearchValidatesEveryConfig(t *testing.T) {
+	e, inv := fixture(t)
+	breaks := []struct {
+		name  string
+		want  string
+		spoil func(*topology.Config)
+	}{
+		{"nameless", "config needs a name", func(c *topology.Config) { c.Name = "" }},
+		{"duplicate site", "duplicate site asset", func(c *topology.Config) { c.Sites[2].AssetID = c.Sites[0].AssetID }},
+	}
+	for _, b := range breaks {
+		t.Run(b.name, func(t *testing.T) {
+			built := 0
+			req := Request{
+				Ensemble: e, Inventory: inv, Primary: "p", Scenario: threat.HurricaneIntrusionIsolation,
+				Build: func(p topology.Placement) topology.Config {
+					cfg := topology.NewConfig666(p.Primary, p.Second, p.DataCenter)
+					if built++; built > 1 {
+						b.spoil(&cfg)
+					}
+					return cfg
+				},
+			}
+			_, err := SearchPairs(req)
+			if err == nil || !strings.Contains(err.Error(), b.want) {
+				t.Errorf("SearchPairs error = %v, want one naming %q", err, b.want)
+			}
+			built = 0
+			_, err = SearchSecondSite(req, "dc")
+			if err == nil || !strings.Contains(err.Error(), b.want) {
+				t.Errorf("SearchSecondSite error = %v, want one naming %q", err, b.want)
+			}
+		})
 	}
 }
 

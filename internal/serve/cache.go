@@ -12,13 +12,12 @@ import (
 	"compoundthreat/internal/topology"
 )
 
-// view is one compiled (ensemble, asset universe) pair: the bit-packed
-// failure matrix and its deduplicated row view. Views are immutable
-// after compilation, so any number of request goroutines share one
-// view.
+// view is one compiled (ensemble, asset universe) pair: the
+// deduplicated row view of its bit-packed failure matrix. Views are
+// immutable after compilation, so any number of request goroutines
+// share one view.
 type view struct {
-	matrix *engine.FailureMatrix
-	cm     *engine.CompressedMatrix
+	cm *engine.CompressedMatrix
 }
 
 // newView compiles the ensemble's failure flags for the asset universe
@@ -38,22 +37,16 @@ func newView(ctx context.Context, e Ensemble, universe []string, workers int) (*
 	dsp := sp.StartChild("compile.dedup")
 	cm := engine.Compress(m, workers)
 	dsp.End()
-	return &view{matrix: m, cm: cm}, nil
+	return &view{cm: cm}, nil
 }
 
 // cell evaluates one (configuration, capability) cell against the
-// view's distinct flood patterns — the serving hot path. One pooled
-// evaluator, one weighted pass, no per-realization work. The pool is
-// the server's: Get rebinds a pooled evaluator to this view's matrix,
-// so a freshly compiled view reuses the memo tables of earlier ones.
-func (v *view) cell(pool *engine.EvaluatorPool, cfg topology.Config, capability threat.Capability) (*stats.Profile, error) {
-	ev, err := pool.Get(v.matrix, cfg, capability)
-	if err != nil {
-		return nil, err
-	}
-	var counts engine.Counts
-	err = ev.AddWeighted(&counts, v.cm, 0, v.cm.DistinctRows())
-	pool.Put(ev)
+// view's distinct flood patterns — the serving hot path: one pass of
+// the table kernel, no per-realization work. The tables are the
+// server's, so every view shares one attack table per configuration
+// shape. cfg was validated when the query was parsed.
+func (v *view) cell(tables *engine.Tables, cfg topology.Config, capability threat.Capability) (*stats.Profile, error) {
+	counts, err := tables.Counts(v.cm, cfg, capability)
 	if err != nil {
 		return nil, err
 	}

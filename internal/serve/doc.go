@@ -1,7 +1,7 @@
 // Package serve is the compound-threat analysis server: a long-running
 // HTTP layer that answers sweep, figure, and placement queries against
 // disaster ensembles loaded once at startup, turning the batch pipeline
-// (hazard ensemble → failure matrix → compressed patterns → evaluator →
+// (hazard ensemble → failure matrix → compressed patterns → attack tables →
 // operational-state profile) into an interactive what-if service for
 // planners iterating over architectures and placements (the workflow
 // behind the paper's Figures 6-11 and §VII placement question).
@@ -24,8 +24,8 @@
 //     nearly free. The server therefore compiles once per (ensemble
 //     hash, asset-universe fingerprint) pair and keeps the compiled
 //     view — matrix and compressed rows — in a bounded LRU cache. One
-//     server-wide evaluator pool recycles 2^S memo tables across all
-//     views.
+//     server-wide engine.Tables holds the attack table of every
+//     configuration shape the server has met, shared by all views.
 //   - Coalescing. Concurrent identical queries (a stampede after a
 //     restart) trigger exactly one compile: the first request starts
 //     it, every other request for the same key waits on the same
@@ -54,7 +54,8 @@
 // after construction, so any number of handler goroutines read them
 // without locks; the only mutable shared state is the cache index
 // (one mutex, held only for map/list operations, never during a
-// compile) and the evaluator pool (sync.Pool). Evaluation itself is
+// compile) and the attack tables (read without a lock; a mutex only
+// publishes a newly built table). Evaluation itself is
 // allocation-free per cell on the engine's weighted path. Results are
 // bit-identical to the batch CLIs because the cells run the same
 // engine code over the same compiled bits.

@@ -450,7 +450,7 @@ func (s *Server) evaluate(ctx context.Context, ens *ensembleEntry, universe []st
 	out := make([]outcomeJSON, len(configs))
 	esp := obs.SpanFromContext(ctx).StartChild("evaluate")
 	err = engine.ForEachCtx(obs.ContextWithSpan(ctx, esp), s.opt.Workers, len(configs), func(i int) error {
-		p, err := v.cell(&s.evals, configs[i], capability)
+		p, err := v.cell(s.tables, configs[i], capability)
 		if err != nil {
 			return err
 		}
@@ -627,7 +627,7 @@ func (s *Server) evaluatePlacements(ctx context.Context, ens *ensembleEntry, uni
 	out := make([]placement.Candidate, len(placements))
 	esp := obs.SpanFromContext(ctx).StartChild("evaluate")
 	err = engine.ForEachCtx(obs.ContextWithSpan(ctx, esp), s.opt.Workers, len(placements), func(i int) error {
-		p, err := v.cell(&s.evals, configs[i], capability)
+		p, err := v.cell(s.tables, configs[i], capability)
 		if err != nil {
 			return err
 		}

@@ -167,7 +167,7 @@ type Server struct {
 	dflt *ensembleEntry
 
 	cache   *viewCache
-	evals   engine.EvaluatorPool // shared by every cached view
+	tables  *engine.Tables // attack tables shared by every cached view
 	jobs    *registry[*job]
 	uploads *uploadState
 	genjobs *registry[*genJob]
@@ -210,6 +210,7 @@ func New(ensembles map[string]Ensemble, inv *assets.Inventory, opt Options) (*Se
 		inv:       inv,
 		ensembles: make(map[string]*ensembleEntry, len(ensembles)),
 		cache:     newViewCache(opt.CacheEntries),
+		tables:    engine.NewTables(),
 		uploads:   newUploadState(opt),
 		slots:     make(chan struct{}, opt.MaxInflight),
 		start:     time.Now(),

@@ -84,7 +84,7 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) error {
 	for _, kv := range snap {
 		vj := viewJSON{
 			Key:              kv.key,
-			Assets:           len(kv.view.matrix.Assets()),
+			Assets:           len(kv.view.cm.Source().Assets()),
 			Rows:             kv.view.cm.Rows(),
 			DistinctPatterns: kv.view.cm.DistinctRows(),
 			WireBytes:        kv.view.cm.EncodedSizeEstimate(),
@@ -171,7 +171,7 @@ func (s *Server) handleViewImport(w http.ResponseWriter, r *http.Request) error 
 	if cm.Rows() != ens.e.Size() {
 		return badRequestf("view has %d realizations, ensemble %q has %d", cm.Rows(), ens.name, ens.e.Size())
 	}
-	imported := s.cache.put(key, &view{matrix: cm.Source(), cm: cm})
+	imported := s.cache.put(key, &view{cm: cm})
 	if imported {
 		s.viewsImported.Inc()
 	}
